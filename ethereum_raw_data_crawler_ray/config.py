@@ -3,7 +3,7 @@
 Mirrors the reference's env-bound config surface
 (``internal/infrastructure/config/config.go:153-299``) recast for the
 crawl domain: batch_size → round fetch budget, concurrent_workers →
-per-stage actor-pool sizes, rate_limit → per-host politeness budget,
+state actor-pool sizes, rate_limit → per-host politeness budget,
 max_retries / skip_duration → frontier retry columns.
 """
 
@@ -54,10 +54,7 @@ class CrawlConfig:
     seen_shard_capacity: int = 1 << 20
 
     # --- execution sizing -------------------------------------------------
-    # analog of CONCURRENT_WORKERS=10 (config.go:175): fetch actor pool size
-    fetch_concurrency: int = 8
     extract_batch_size: int = 2_048     # html is wide; keep batches bounded
-    cpus_per_fetch_actor: float = 1.0
 
     # --- determinism ------------------------------------------------------
     # frontier ordering is the fixed comparator state.politeness.ORDER_COLS

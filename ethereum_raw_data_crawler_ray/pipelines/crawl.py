@@ -2,37 +2,31 @@
 
 Ray-Data-native lifecycle (SURVEY.md §3.4), replacing the reference's
 WebSocket-listener/scheduler/worker-pool loop (``scheduler_service.go``,
-``crawler_service.go``) with a driver-side round loop.
-
-Pipelined mode (default, ``politeness_mode="cutoff"``): each round is
+``crawler_service.go``) with a driver-side round loop. Each round is
 ONE streaming Dataset execution of the fused ``round_step`` stage
-(stages/roundstep.py — gate → fetch → extract → enrich → carry →
-discover/seen-claim → politeness offers for r+1), writing the combined
-round table atomically, hive-partitioned by ``row_kind`` so the next
-round's frontier read touches only thin carry/discovered files:
+(stages/roundstep.py — gate → fetch from the page-store actors →
+extract → enrich → carry → discover/seen-claim → politeness offers for
+r+1), writing the combined round table atomically, hive-partitioned by
+``row_kind`` so the next round's frontier read touches only thin
+carry/discovered files:
 
   round r:
     collect politeness cutoffs for r (offered during round r-1's exec)
-    read frontier_r → map_batches(round_step) → rounds/round_r (atomic)
+    read frontier_r → map_batches(round_task) → rounds/round_r (atomic)
     seen-shard checkpoint (synchronous — snapshots end-of-round state)
     events projection + per-shard lineage (overlapped with round r+1)
 
 No all-to-all shuffle anywhere: politeness selection is exact
-per-(host,salt) top-k via offered partial top-ks + broadcast cutoffs
-(the groupby sort-barrier cost seconds of wall per round for
-milliseconds of compute), and round dedup is the seen-shard first claim
-over discovered rows that are pure functions of (url, round).
-
-Legacy mode (``politeness_mode="groupby"``): the host-keyed shuffle +
-map_groups top-k with separate frontier/events executions — semantically
-identical, kept and cross-validated by tests.
+per-(host,salt) top-k via offered partial top-ks + broadcast cutoffs,
+and round dedup is the seen-shard first claim over discovered rows that
+are pure functions of (url, round).
 
 Resume: rewind to the newest complete seen dump, replay the rounds since
 (deterministic → bit-identical; tests kill -9 and compare). No decision
 anywhere reads a wall clock and every write is an idempotent tmp-dir +
-rename. All state lives in the actor pools (seen shards, page store,
-cutoff buckets) or in checkpoint Parquet — never in driver mutexes (the
-reference's single-process ceiling, SURVEY.md §4).
+rename (:func:`_commit`). All state lives in the actor pools (seen
+shards, page store, cutoff buckets) or in checkpoint Parquet — never in
+driver mutexes (the reference's single-process ceiling, SURVEY.md §4).
 """
 
 from __future__ import annotations
@@ -53,50 +47,33 @@ from ..config import CrawlConfig
 from ..functions.hashing import hash_strings
 from ..functions.urlnorm import normalize_many
 from ..schema import FRONTIER, LINEAGE
-from ..stages.fetch import (
-    STATUS_ERROR,
-    STATUS_FETCHED,
-    FetchSim,
-    build_fetch_index,
-    fetch_via_store,
-)
+from ..stages.fetch import STATUS_ERROR, STATUS_FETCHED, build_fetch_index
 from ..state.politeness import (
     GATE_DEFER,
     GATE_FETCH,
     GATE_ROBOTS,
     GATE_SKIPPED,
     CutoffPool,
-    final_gate,
     load_robots,
-    phase1_gate,
 )
-from ..state.seen import ActorSeenSet, SeenFilterBatch
+from ..state.seen import ActorSeenSet
 from ..state.store import ActorPageStore
 
-EPOCH0 = pa.scalar(0, type=pa.timestamp("us"))
 
-
-def _atomic_write(ds: rd.Dataset, final_dir: str, count: bool = True, **kwargs) -> int:
-    """write_parquet to a tmp dir, fsync-free atomic rename. Returns row
-    count from the written file metadata (no re-execution); pass
-    count=False when the caller doesn't need it (metadata opens across
-    hundreds of part files add up)."""
+def _commit(final_dir: str, table: pa.Table | None = None, fill=None) -> None:
+    """Publish ``final_dir`` atomically: fill a fresh ``.tmp`` sibling —
+    ``table`` as ``part-0.parquet`` (nothing when None), then
+    ``fill(tmp)`` for any other files — and swap it in by rename.
+    Idempotent: a replayed write overwrites the same dir."""
     tmp = final_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    ds.write_parquet(tmp, **kwargs)
-    os.makedirs(tmp, exist_ok=True)  # a 0-row write creates nothing
+    os.makedirs(tmp, exist_ok=True)
+    if table is not None:
+        pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
+    if fill is not None:
+        fill(tmp)
     shutil.rmtree(final_dir, ignore_errors=True)
     os.rename(tmp, final_dir)
-    return _count_rows(final_dir) if count else -1
-
-
-def _count_rows(parquet_dir: str) -> int:
-    total = 0
-    for root, _, files in os.walk(parquet_dir):
-        for f in files:
-            if f.endswith(".parquet"):
-                total += pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-    return total
 
 
 def frontier_from_seeds(seeds: pa.Table) -> pa.Table:
@@ -119,91 +96,13 @@ def frontier_from_seeds(seeds: pa.Table) -> pa.Table:
     return t.filter(pa.array(ok))
 
 
-def _carry_rows(t: pa.Table, *, round_no: int, max_retries: int, skip_rounds: int) -> pa.Table:
-    """Carry rows into the next frontier: deferred / skipped rows
-    unchanged; errored rows retry, sit out a skip window at max_retries,
-    get one final chance, then drop permanently (mirror of
-    handleBlockProcessingError's failedBlocks→skippedBlocks,
-    scheduler_service.go:324-357, made terminating)."""
-    frontier_cols = [f.name for f in FRONTIER]
-    gate = np.asarray(t["gate"].to_pandas(), dtype=object)
-    status = np.asarray(t["status"].to_pandas(), dtype=object)
-    attempts = np.asarray(t["attempts"].to_pandas(), dtype=np.int32).copy()
-    skip_until = np.asarray(t["skip_until_round"].to_pandas(), dtype=np.int32).copy()
-    keep = (gate == GATE_DEFER) | (gate == GATE_SKIPPED)
-    err = (gate == GATE_FETCH) & (status == STATUS_ERROR)
-    attempts[err] += 1
-    skip_now = err & (attempts == max_retries)
-    skip_until[skip_now] = round_no + 1 + skip_rounds
-    dropped = err & (attempts > max_retries)  # permanent failure
-    keep |= err & ~dropped
-    t = t.set_column(
-        t.schema.get_field_index("attempts"), "attempts",
-        pa.array(attempts, type=pa.int32()),
-    ).set_column(
-        t.schema.get_field_index("skip_until_round"), "skip_until_round",
-        pa.array(skip_until, type=pa.int32()),
-    )
-    return t.select(frontier_cols).filter(pa.array(keep))
-
-
-# discovered-row attributes are PURE FUNCTIONS of (url, discovery round):
-#   depth    := round + 1   (discovery depth — frontier enters in BFS waves)
-#   priority := 0           (base priority; reprioritization is a frontier rewrite)
-#   warc_ts  := BASE + url_hash-derived jitter (deterministic enqueue-time analog)
-# Consequence: duplicates of a URL discovered by many parents in the same
-# round are IDENTICAL rows, so the seen-shard first-claim IS the dedup —
-# no per-round groupby(url) shuffle (the sort-based aggregate was the
-# dominant per-round cost; this removes the all-to-all entirely,
-# SURVEY.md §7.3 "minimize shuffles").
-_TS_JITTER_US = np.int64(30 * 86400) * np.int64(1_000_000)
-_TS_BASE_US = np.int64(1753401600000000)  # 2025-07-25T00:00:00Z
-
-
-def _explode_outlinks(t: pa.Table, *, round_no: int) -> pa.Table:
-    """fetched rows → one frontier row per distinct valid outlink in the
-    batch (normalized; invalid URLs dropped — the malformed-input
-    robustness mirror). Cross-batch duplicates are handled by the seen
-    filter (identical rows, order-independent)."""
-    links = t["outlinks"].to_pylist()
-    urls: list[str] = []
-    for ls in links:
-        if ls:
-            urls.extend(ls)
-    norm, hosts, ok = normalize_many(urls)
-    # within-batch dedup (cheap; reduces seen-actor traffic)
-    seen_local: set = set()
-    for i in range(len(norm)):
-        if ok[i]:
-            if norm[i] in seen_local:
-                ok[i] = False
-            else:
-                seen_local.add(norm[i])
-    norm = norm[ok]
-    hosts = hosts[ok]
-    n = len(norm)
-    h = hash_strings(norm)
-    ts = _TS_BASE_US + (h % np.uint64(_TS_JITTER_US)).astype(np.int64)
-    return pa.table(
-        {
-            "url": pa.array(norm, type=pa.string()),
-            "url_hash": pa.array(h, type=pa.uint64()),
-            "host": pa.array(hosts, type=pa.string()),
-            "priority": pa.array(np.zeros(n, dtype=np.int32)),
-            "depth": pa.array(np.full(n, round_no + 1, dtype=np.int32)),
-            "warc_ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
-            "attempts": pa.array(np.zeros(n, dtype=np.int32)),
-            "skip_until_round": pa.array(np.full(n, -1, dtype=np.int32)),
-        },
-        schema=FRONTIER,
-    )
-
-
 class CrawlPipeline:
     def __init__(self, cfg: CrawlConfig):
         self.cfg = cfg
         self.out = cfg.out_dir
         self.seen: ActorSeenSet | None = None
+        self.store: ActorPageStore | None = None
+        self.cutoff_pool: CutoffPool | None = None
         self.robots_ref = None
         # round → [(frontier file, n_rows)] — footers read once per round
         # (shared by the count, the balanced task assignment and resume
@@ -231,10 +130,10 @@ class CrawlPipeline:
         if self.seen is not None:
             self.seen.kill()
             self.seen = None
-        if getattr(self, "store", None) is not None:
+        if self.store is not None:
             self.store.kill()
             self.store = None
-        if getattr(self, "cutoff_pool", None) is not None:
+        if self.cutoff_pool is not None:
             self.cutoff_pool.kill()
             self.cutoff_pool = None
         self._prepared = False
@@ -258,27 +157,23 @@ class CrawlPipeline:
         self.seen = ActorSeenSet(
             cfg.n_seen_shards, cfg.seen_shard_capacity, ckpt_root=self._p("seen")
         )
-        self.store = None
-        if cfg.extra.get("fetch_mode", "store") == "store":
-            n_store = int(cfg.extra.get("n_store_shards", min(8, cfg.n_fetch_buckets)))
-            self.store = ActorPageStore(
-                cfg.index_dir, cfg.n_fetch_buckets, n_store,
-                mode=cfg.extra.get("store_mode", "preload"),
-                lru_groups=int(cfg.extra.get("store_lru_groups", 64)),
-            )
-            self.store.wait_ready()  # index loads ONCE per run, not per round
-        self.cutoff_pool = None
-        if cfg.extra.get("politeness_mode", "cutoff") == "cutoff":
-            self.cutoff_pool = CutoffPool(
-                int(cfg.extra.get("n_cutoff_actors", 8)),
-                self.robots_ref,
-                cfg.round_ms,
-                cfg.default_crawl_delay_ms,
-                cfg.max_per_host_round,
-                max(1, int(cfg.extra.get("host_salt", 1))),
-                error_backoff=bool(cfg.extra.get("error_backoff", False)),
-            )
-            self.cutoff_pool.consume_fresh()  # clear the initial flags
+        n_store = int(cfg.extra.get("n_store_shards", min(8, cfg.n_fetch_buckets)))
+        self.store = ActorPageStore(
+            cfg.index_dir, cfg.n_fetch_buckets, n_store,
+            mode=cfg.extra.get("store_mode", "preload"),
+            lru_groups=int(cfg.extra.get("store_lru_groups", 64)),
+        )
+        self.store.wait_ready()  # index loads ONCE per run, not per round
+        self.cutoff_pool = CutoffPool(
+            int(cfg.extra.get("n_cutoff_actors", 8)),
+            self.robots_ref,
+            cfg.round_ms,
+            cfg.default_crawl_delay_ms,
+            cfg.max_per_host_round,
+            max(1, int(cfg.extra.get("host_salt", 1))),
+            error_backoff=bool(cfg.extra.get("error_backoff", False)),
+        )
+        self.cutoff_pool.consume_fresh()  # clear the initial flags
         self._prepared = True
 
     def bootstrap(self, seeds: pa.Table) -> None:
@@ -287,30 +182,23 @@ class CrawlPipeline:
         t = frontier_from_seeds(seeds)
         hashes = np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64)
         novel = self.seen.check_and_insert(hashes)
-        t = t.filter(pa.array(novel))
-        d = self._p("frontier", "round_00000")
-        tmp = d + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(t, os.path.join(tmp, "part-0.parquet"))
-        shutil.rmtree(d, ignore_errors=True)
-        os.rename(tmp, d)
+        _commit(self._p("frontier", "round_00000"), t.filter(pa.array(novel)))
         bdir = self._p("seen", "bootstrap")
         self.seen.save(bdir)
         with open(os.path.join(bdir, "_COMPLETE"), "w") as f:
             f.write("ok")
 
-    # --- frontier source (pipelined mode embeds the next frontier in the
-    #     combined rounds output, hive-partitioned by row_kind so frontier
-    #     reads touch only the thin carry/discovered files and counts are
-    #     metadata-only; round 0 reads the bootstrap dir) -----------------
+    # --- frontier source (each round's output embeds the next frontier,
+    #     hive-partitioned by row_kind so frontier reads touch only the
+    #     thin carry/discovered files and counts are metadata-only; round
+    #     0 reads the bootstrap dir) ---------------------------------------
     def _frontier_source(self, r: int) -> list[str]:
         """Parquet file paths holding round r's frontier rows (ray's
         read_parquet wants explicit files when given a list)."""
         import glob as _glob
 
-        if self.cutoff_pool is None or r == 0:
-            d = self._p("frontier", f"round_{r:05d}")
+        if r == 0:
+            d = self._p("frontier", "round_00000")
             dirs = [d] if os.path.exists(d) else []
         else:
             base = self._p("rounds", f"round_{r - 1:05d}")
@@ -443,7 +331,7 @@ class CrawlPipeline:
         execution's offers are gone with the old process. One extra
         (cheap, thin-column) execution; everything is re-derived
         deterministically."""
-        if self.cutoff_pool is None or self._frontier_count(r) == 0:
+        if self._frontier_count(r) == 0:
             return
         src = self._frontier_source(r)
         cfg = self.cfg
@@ -475,24 +363,15 @@ class CrawlPipeline:
         """Authoritatively re-derive round ``r``'s per-host fetch-error
         counts from its committed output and SET them on the cutoff
         shards (resume / shard-restart path for error backoff)."""
-        if self.cutoff_pool is None or r < 0:
+        src = self._p("rounds", f"round_{r:05d}")
+        if r < 0 or not os.path.exists(src):
             return
-        page_dir = self._p("rounds", f"round_{r:05d}", "row_kind=page")
-        src = page_dir if os.path.exists(page_dir) else self._p("rounds", f"round_{r:05d}")
-        if not os.path.exists(src):
-            return
+        # only page rows carry a status: carry/discovered rows filter out
         t = pads.dataset(src, format="parquet").to_table(
-            columns=["host", "status", "error_class"]
+            columns=["host", "error_class"], filter=pc.field("status") == STATUS_ERROR
         )
-        status = np.asarray(t["status"].to_pandas(), dtype=object)
-        err_m = status == STATUS_ERROR
-        hosts = np.asarray(t["host"].to_pandas(), dtype=object)[err_m]
-        rl = (
-            np.asarray(t["error_class"].to_pandas(), dtype=object)[err_m]
-            == "rate_limit"
-        )
-        from ..functions.hashing import hash_strings
-
+        hosts = np.asarray(t["host"].to_pandas(), dtype=object)
+        rl = np.asarray(t["error_class"].to_pandas(), dtype=object) == "rate_limit"
         handles = self.cutoff_pool.handles
         k = len(handles)
         if len(hosts):
@@ -525,13 +404,6 @@ class CrawlPipeline:
             with open(mf) as f:
                 out |= set(json.load(f))
         return out
-
-    def _ingest_version(self) -> int:
-        """Monotonic index version (count of ingest batches) — busts the
-        per-worker bucket-file cache in parquet fetch mode."""
-        import glob as _glob
-
-        return len(_glob.glob(self._p("ingest", "*", "*", "_MANIFEST.json")))
 
     def ingest_new_pages(self, r: int) -> int:
         """Scan ``extra["watch_dir"]`` for pushed files not yet consumed.
@@ -566,18 +438,7 @@ class CrawlPipeline:
 
         cfg = self.cfg
         wd = cfg.extra.get("watch_dir")
-        if not wd:
-            return 0
-        if self.cutoff_pool is None:
-            # fail loudly instead of silently never ingesting (r02 verdict):
-            # push ingest offers candidates to the cutoff actors, which the
-            # legacy groupby politeness mode does not run
-            raise ValueError(
-                "watch_dir is configured but politeness_mode='groupby' has no "
-                "cutoff actors to offer pushed pages to — watch mode requires "
-                "the default politeness_mode='cutoff'"
-            )
-        if not os.path.isdir(wd):
+        if not wd or not os.path.isdir(wd):
             return 0
         processed = self._processed_watch_files()
 
@@ -661,8 +522,7 @@ class CrawlPipeline:
                     pq.write_table(t.filter(pa.array(buckets == b)), tmp)
                     os.replace(tmp, dest)
                 files_by_bucket.setdefault(int(b), []).append(dest)
-        if self.store is not None:
-            self.store.load_new_files(files_by_bucket)
+        self.store.load_new_files(files_by_bucket)
 
         def _frontier_rows(url_list, ts_us: np.ndarray | None,
                            prio: np.ndarray | None) -> pa.Table:
@@ -768,36 +628,27 @@ class CrawlPipeline:
                 )
                 lt = lt.filter(pa.array(keep))
             if len(lt):
-                ext = self._p("external", f"round_{r:05d}", f"batch_{batch_no}")
-                etmp = ext + ".tmp"
-                shutil.rmtree(etmp, ignore_errors=True)
-                os.makedirs(etmp, exist_ok=True)
-                pq.write_table(lt, os.path.join(etmp, "part-0.parquet"))
-                shutil.rmtree(ext, ignore_errors=True)
-                os.rename(etmp, ext)
+                _commit(self._p("external", f"round_{r:05d}", f"batch_{batch_no}"), lt)
             # all-filtered batch: the manifest alone marks the files
             # processed — an empty committed dir would only break
             # external_events_output's parquet read
 
-        d = self._p("ingest", f"round_{r:05d}", f"batch_{batch_no}")
-        tmp = d + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        if len(ft):
-            pq.write_table(ft, os.path.join(tmp, "part-0.parquet"))
-        with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-            # quarantined files are manifest-marked too: processed means
-            # "never re-scan", which is exactly the poison-pill contract
-            json.dump(
-                sorted(os.path.relpath(p, wd)
-                       for p in (*files, *url_files, *log_files)),
-                f,
-            )
-        if rejected:
-            with open(os.path.join(tmp, "_REJECTED.json"), "w") as f:
-                json.dump(rejected, f)
-        shutil.rmtree(d, ignore_errors=True)
-        os.rename(tmp, d)
+        def _manifest(tmp: str) -> None:
+            with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
+                # quarantined files are manifest-marked too: processed
+                # means "never re-scan", which is exactly the poison-pill
+                # contract
+                json.dump(
+                    sorted(os.path.relpath(p, wd)
+                           for p in (*files, *url_files, *log_files)),
+                    f,
+                )
+            if rejected:
+                with open(os.path.join(tmp, "_REJECTED.json"), "w") as f:
+                    json.dump(rejected, f)
+
+        _commit(self._p("ingest", f"round_{r:05d}", f"batch_{batch_no}"),
+                ft if len(ft) else None, fill=_manifest)
         # new frontier files for this round → re-plan it
         self._fplan_cache.pop(r, None)
 
@@ -867,21 +718,16 @@ class CrawlPipeline:
 
     # --- one round --------------------------------------------------------
     def run_round(self, r: int) -> dict:
-        self._heal_seen(r)
-        if self.cutoff_pool is not None:
-            return self._run_round_pipelined(r)
-        return self._run_round_legacy(r)
-
-    def _run_round_pipelined(self, r: int) -> dict:
-        """Pipelined mode (default): ONE Ray execution per round — the
-        fused round_task reads its pre-balanced frontier file spans and
-        runs round_step (gate→fetch→extract→carry→discover→offer),
-        writing a combined table; see stages/roundstep.py. No repartition
-        barrier, no separate read stage, no extra stamp stage — the
-        per-round fixed cost is one execution launch plus the atomic
-        write rename (r02 verdict #1)."""
+        """ONE Ray execution per round — the fused round_task reads its
+        pre-balanced frontier file spans and runs round_step
+        (gate→fetch→extract→carry→discover→offer), writing a combined
+        table; see stages/roundstep.py. No repartition barrier, no
+        separate read stage, no extra stamp stage — the per-round fixed
+        cost is one execution launch plus the atomic write rename (r02
+        verdict #1)."""
         from ..stages.roundstep import round_task
 
+        self._heal_seen(r)
         cfg = self.cfg
         t0 = time.perf_counter()
         rounds_dir = self._p("rounds", f"round_{r:05d}")
@@ -926,12 +772,7 @@ class CrawlPipeline:
             hot_gate=hot_r,
             hot_offer=hot_next,
             robots_ref=self.robots_ref,
-            store_handles=self.store.handles if self.store is not None else None,
-            parquet_index=(
-                (cfg.index_dir, cfg.n_fetch_buckets, self._ingest_version())
-                if self.store is None
-                else None
-            ),
+            store_handles=self.store.handles,
             seen_handles=self.seen.handles,
             cutoff_handles=self.cutoff_pool.handles,
             round_ms=cfg.round_ms,
@@ -959,14 +800,10 @@ class CrawlPipeline:
             fn_kwargs=kwargs,
             batch_format="pyarrow",
             batch_size=None,  # one pre-balanced item per task
-            # the seen/store/cutoff pools hold fractional reservations
-            # (state/resources.py), so task concurrency is ncpu minus
-            # the pools' proportional share — no oversubscription
-            num_cpus=float(cfg.extra.get("round_task_cpus", 1.0)),
         )
         # hive-partitioned by row_kind: the next round's frontier read and
         # the events/lineage reads each touch only their own files
-        _atomic_write(ds, rounds_dir, count=False, partition_cols=["row_kind"])
+        _commit(rounds_dir, fill=lambda tmp: ds.write_parquet(tmp, partition_cols=["row_kind"]))
         t_main = time.perf_counter() - t_m0
         # execution barrier passed + output committed → claim logs for
         # this round can never be replayed again
@@ -1022,7 +859,6 @@ class CrawlPipeline:
             "wall_s": wall,
             "t_main": round(t_main, 2),
             "t_ckpt": round(t_ckpt, 2),
-            "t_frontier": 0.0,
         }
 
     def _join_bg(self) -> None:
@@ -1037,147 +873,20 @@ class CrawlPipeline:
                     "background events/lineage write failed"
                 ) from exc
 
-    def _run_round_legacy(self, r: int) -> dict:
-        cfg = self.cfg
-        t0 = time.perf_counter()
-        frontier_dir = self._p("frontier", f"round_{r:05d}")
-        rounds_dir = self._p("rounds", f"round_{r:05d}")
-
-        n_salt = int(cfg.extra.get("host_salt", 1))
-        err = int(cfg.extra.get("error_permille", 0))
-        enrich = bool(cfg.extra.get("enrich", False))
-        pol = dict(
-            robots_ref=self.robots_ref,
-            round_ms=cfg.round_ms,
-            default_delay_ms=cfg.default_crawl_delay_ms,
-            max_per_host=cfg.max_per_host_round,
-            n_salt=n_salt,
-        )
-
-        # split the frontier read so phase1 parallelizes even when the
-        # previous round wrote few files (blocks are the unit of
-        # map-task parallelism in Ray Data)
-        n_frontier = _count_rows(frontier_dir)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        blocks = max(1, min(2 * ncpu, -(-n_frontier // 8192)))
-        frontier = rd.read_parquet(frontier_dir, override_num_blocks=blocks)
-
-        # groupby mode (politeness_mode="groupby"): the host-keyed
-        # shuffle + per-group final top-k — semantically identical to the
-        # pipelined cutoff mode, kept for cross-validation
-        gated = frontier.map_batches(
-            phase1_gate,
-            fn_kwargs=dict(pol, round_no=r),
-            batch_format="pandas",
-            batch_size=8192,
-        ).groupby("pkey").map_groups(
-            final_gate, fn_kwargs=pol, batch_format="pandas"
-        )
-        if self.store is not None:
-            # store mode: stateless tasks scatter-gather to the resident
-            # page-store shard actors — no per-round pool spin-up
-            fetched = gated.map_batches(
-                fetch_via_store,
-                fn_kwargs={
-                    "store_handles": self.store.handles,
-                    "error_permille": err,
-                    "enrich": enrich,
-                },
-                batch_format="pandas",
-                batch_size=cfg.extract_batch_size,
-            )
-        else:
-            fetched = gated.map_batches(
-                FetchSim,
-                fn_constructor_args=(cfg.index_dir, cfg.n_fetch_buckets, err, enrich),
-                batch_format="pandas",
-                batch_size=cfg.extract_batch_size,
-                # autoscaling (min,max): a fixed pool sized to the node
-                # deadlocks when the other stages need their CPUs too
-                concurrency=(1, cfg.fetch_concurrency),
-                num_cpus=cfg.cpus_per_fetch_actor,
-            )
-        t_m0 = time.perf_counter()
-        ds = (
-            fetched.drop_columns(["pkey"])
-            .map_batches(
-                lambda t, r=r: t.append_column(
-                    "round", pa.array(np.full(len(t), r, dtype=np.int32))
-                ).append_column(
-                    "row_kind",
-                    pa.array(np.full(len(t), "page", dtype=object), type=pa.string()),
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        _atomic_write(ds, rounds_dir)
-        t_main = time.perf_counter() - t_m0
-
-        t_e0 = time.perf_counter()
-        self._write_events(r, rounds_dir)
-        t_events = time.perf_counter() - t_e0
-
-        # --- next frontier ------------------------------------------------
-        t_f0 = time.perf_counter()
-        n_next = self._build_next_frontier(r, rounds_dir)
-        self.seen.end_round(r)
-        t_frontier = time.perf_counter() - t_f0
-
-        # --- checkpoint: seen dumps + per-shard lineage -------------------
-        # seen-shard state persists every checkpoint_every rounds (resume
-        # replays the rounds since the last dump — deterministic, so the
-        # replay is bit-identical); digests go into lineage every round
-        t_c0 = time.perf_counter()
-        ckpt_every = int(cfg.extra.get("checkpoint_every", 1))
-        if r % ckpt_every == ckpt_every - 1 or n_next == 0:
-            seen_dir = self._p("seen", f"round_{r:05d}")
-            digests = self.seen.save(seen_dir)
-            with open(os.path.join(seen_dir, "_COMPLETE"), "w") as f:
-                f.write("ok")  # all shards dumped (partial dumps unsafe to load)
-        else:
-            digests = self.seen.digests()
-        t_ckpt = time.perf_counter() - t_c0
-        t_l0 = time.perf_counter()
-        self._write_health(r)
-        stats = self._lineage(r, rounds_dir, digests, time.perf_counter() - t0)
-        stats["t_lineage"] = round(time.perf_counter() - t_l0, 2)
-        stats["t_events"] = round(t_events, 2)
-        stats["t_ckpt"] = round(t_ckpt, 2)
-        stats["next_frontier"] = n_next
-        stats["t_main"] = round(t_main, 2)
-        stats["t_frontier"] = round(t_frontier, 2)
-        return stats
-
     def _write_events(self, r: int, rounds_dir: str) -> None:
         """Events projection — written only after the rounds-dir rename
         (the publish-after-DB-success gating mirror,
         crawler_service.go:592-607). Per-round events are bounded by the
-        round's fetch budget, so a driver-side pyarrow write by default;
-        extra["events_via_ray"]=True switches to a Ray execution for
-        giant-round configurations. Carry/discovered rows have null
-        status, so the status filter selects page rows only."""
-        cols = ["url", "url_hash", "host", "page_ts", "n_bytes", "lang", "status"]
-        filt = pc.field("status") == STATUS_FETCHED
+        round's fetch budget, so a driver-side pyarrow write. Carry and
+        discovered rows have null status, so the status filter selects
+        page rows only."""
         page_dir = os.path.join(rounds_dir, "row_kind=page")
         src = page_dir if os.path.exists(page_dir) else rounds_dir
-        if self.cfg.extra.get("events_via_ray"):
-            ev = rd.read_parquet(src, columns=cols, filter=filt).map_batches(
-                self._event_project, batch_format="pyarrow", fn_kwargs={"r": r}
-            )
-            _atomic_write(ev, self._p("events", f"round_{r:05d}"))
-            return
-        t = pads.dataset(src, format="parquet").to_table(columns=cols, filter=filt)
-        d = self._p("events", f"round_{r:05d}")
-        tmp = d + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(self._event_project(t, r), os.path.join(tmp, "part-0.parquet"))
-        shutil.rmtree(d, ignore_errors=True)
-        os.rename(tmp, d)
-
-    @staticmethod
-    def _event_project(t: pa.Table, r: int) -> pa.Table:
-        return pa.table(
+        t = pads.dataset(src, format="parquet").to_table(
+            columns=["url", "url_hash", "host", "page_ts", "n_bytes", "lang"],
+            filter=pc.field("status") == STATUS_FETCHED,
+        )
+        ev = pa.table(
             {
                 "url": t["url"],
                 "url_hash": t["url_hash"],
@@ -1188,125 +897,20 @@ class CrawlPipeline:
                 "round": pa.array(np.full(len(t), r, dtype=np.int32)),
             }
         )
-
-    def _build_next_frontier(self, r: int, rounds_dir: str) -> int:
-        """Hybrid: small rounds derive the next frontier driver-side
-        (bounded pandas/numpy work — a Ray execution's fixed startup cost
-        would dominate); big rounds run the distributed pipeline. Both
-        paths share the same primitive functions, so content is
-        identical (tested by resume bit-identity with mixed paths)."""
-        threshold = int(self.cfg.extra.get("frontier_driver_threshold", 30_000))
-        if _count_rows(rounds_dir) <= threshold:
-            return self._build_next_frontier_driver(r, rounds_dir)
-        return self._build_next_frontier_ray(r, rounds_dir)
-
-    def _build_next_frontier_ray(self, r: int, rounds_dir: str) -> int:
-        cfg = self.cfg
-        frontier_cols = [f.name for f in FRONTIER]
-        n_rows = _count_rows(rounds_dir)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        blocks = max(1, min(2 * ncpu, -(-n_rows // 8192)))
-
-        carry = (
-            rd.read_parquet(
-                rounds_dir,
-                columns=frontier_cols + ["gate", "status"],
-                override_num_blocks=blocks,
-            )
-            .map_batches(
-                _carry_rows,
-                fn_kwargs=dict(
-                    round_no=r, max_retries=cfg.max_retries, skip_rounds=cfg.skip_rounds
-                ),
-                batch_format="pyarrow",
-            )
-        )
-
-        # discovered: explode outlinks of fetched pages, normalize,
-        # seen-filter (the anti-join vs crawl history, SURVEY.md J5).
-        # No shuffle: discovered rows are pure functions of (url, round),
-        # so the seen-shard first-claim is the round dedup.
-        discovered = (
-            rd.read_parquet(
-                rounds_dir,
-                columns=["outlinks", "status"],
-                filter=(pc.field("status") == STATUS_FETCHED),
-                override_num_blocks=blocks,
-            )
-            .map_batches(
-                _explode_outlinks, fn_kwargs={"round_no": r}, batch_format="pyarrow"
-            )
-            .map_batches(
-                SeenFilterBatch(self.seen.handles, round_no=r),
-                batch_format="pyarrow",
-                batch_size=8192,
-            )
-        )
-        return _atomic_write(carry.union(discovered), self._p("frontier", f"round_{r + 1:05d}"))
-
-    def _build_next_frontier_driver(self, r: int, rounds_dir: str) -> int:
-        cfg = self.cfg
-        frontier_cols = [f.name for f in FRONTIER]
-        t = pads.dataset(rounds_dir, format="parquet").to_table(
-            columns=frontier_cols + ["gate", "status", "outlinks"]
-        )
-        carry = _carry_rows(
-            t, round_no=r, max_retries=cfg.max_retries, skip_rounds=cfg.skip_rounds
-        )
-
-        fetched = t.filter(pc.equal(t["status"], pa.scalar(STATUS_FETCHED)))
-        disc = _explode_outlinks(fetched.select(["outlinks"]), round_no=r)
-        if len(disc):
-            hashes = np.asarray(disc["url_hash"].to_pandas(), dtype=np.uint64)
-            novel = self.seen.check_and_insert(hashes)
-            disc = disc.filter(pa.array(novel))
-            nxt = pa.concat_tables([carry, disc.select([f.name for f in FRONTIER])])
-        else:
-            nxt = carry
-
-        d = self._p("frontier", f"round_{r + 1:05d}")
-        tmp = d + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        if len(nxt):
-            pq.write_table(nxt, os.path.join(tmp, "part-0.parquet"))
-        shutil.rmtree(d, ignore_errors=True)
-        os.rename(tmp, d)
-        return len(nxt)
+        _commit(self._p("events", f"round_{r:05d}"), ev)
 
     def _lineage_bincounts(self, rounds_dir: str) -> np.ndarray:
         """Driver-side fallback: thin-column read of the round output →
         per-seen-shard bincount matrix, rows = [scheduled, fetched,
-        deferred, failed, errors]. The pipelined mode normally gets the
-        SAME matrix from the per-batch reports accumulated on the cutoff
-        shards during the round (roundstep.py:5b — nothing corpus-sized
-        ever crosses the driver); this path serves the legacy mode and
-        the shard-restart-mid-round case where reports were lost.
-        Works for both layouts: legacy flat (row_kind column in files)
-        and pipelined (hive-partitioned row_kind=... subdirs)."""
-        page_dir = os.path.join(rounds_dir, "row_kind=page")
-        if os.path.exists(page_dir):
-            pt = pads.dataset(page_dir, format="parquet").to_table(
-                columns=["url_hash", "gate", "status"]
-            )
-            parts = [
-                (pt, np.ones(len(pt), dtype=bool)),
-            ]
-            for kind in ("carry", "discovered"):
-                d = os.path.join(rounds_dir, f"row_kind={kind}")
-                if os.path.exists(d):
-                    kt = pads.dataset(d, format="parquet").to_table(
-                        columns=["url_hash", "gate", "status"]
-                    )
-                    parts.append((kt, np.zeros(len(kt), dtype=bool)))
-            t = pa.concat_tables([p for p, _ in parts])
-            page = np.concatenate([m for _, m in parts])
-        else:
-            t = pads.dataset(rounds_dir, format="parquet").to_table(
-                columns=["url_hash", "gate", "status", "row_kind"]
-            )
-            row_kind = np.asarray(t["row_kind"].to_pandas(), dtype=object)
-            page = row_kind == "page"
+        deferred, failed, errors]. A round normally gets the SAME matrix
+        from the per-batch reports accumulated on the cutoff shards
+        during the round (roundstep.py:5b — nothing corpus-sized ever
+        crosses the driver); this path serves the shard-restart-mid-round
+        case where reports were lost."""
+        t = pads.dataset(rounds_dir, format="parquet", partitioning="hive").to_table(
+            columns=["url_hash", "gate", "status", "row_kind"]
+        )
+        page = np.asarray(t["row_kind"].to_pandas(), dtype=object) == "page"
         gate = np.asarray(t["gate"].to_pandas(), dtype=object)
         status = np.asarray(t["status"].to_pandas(), dtype=object)
         n = self.cfg.n_seen_shards
@@ -1332,11 +936,11 @@ class CrawlPipeline:
         operator can see which components restarted in which round.
         Written BEFORE the lineage _COMPLETE marker, so every complete
         round has health rows."""
-        comps: list[tuple[str, list[dict]]] = [("seen", self.seen.health())]
-        if getattr(self, "store", None) is not None:
-            comps.append(("store", self.store.health()))
-        if getattr(self, "cutoff_pool", None) is not None:
-            comps.append(("cutoff", self.cutoff_pool.health()))
+        comps = [
+            ("seen", self.seen.health()),
+            ("store", self.store.health()),
+            ("cutoff", self.cutoff_pool.health()),
+        ]
         comp_col, shard_col, rec_col, items_col = [], [], [], []
         cpu_col, rss_col = [], []
         for name, rows in comps:
@@ -1370,16 +974,10 @@ class CrawlPipeline:
                 ),
             }
         )
-        d = self._p("health", f"round_{r:05d}")
-        tmp = d + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(t, os.path.join(tmp, "part-0.parquet"))
-        shutil.rmtree(d, ignore_errors=True)
-        os.rename(tmp, d)
+        _commit(self._p("health", f"round_{r:05d}"), t)
 
     def _lineage(self, r: int, rounds_dir: str, digests: list[bytes],
-                 wall_s: float, pre: np.ndarray | None = None) -> dict:
+                 wall_s: float, pre: np.ndarray | None = None) -> None:
         cfg = self.cfg
         c = pre if pre is not None else self._lineage_bincounts(rounds_dir)
         scheduled, fetched, deferred, failed, errors = c
@@ -1400,23 +998,10 @@ class CrawlPipeline:
             schema=LINEAGE,
         )
         d = self._p("lineage", f"round_{r:05d}")
-        tmp = d + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(lt, os.path.join(tmp, "part-0.parquet"))
-        shutil.rmtree(d, ignore_errors=True)
-        os.rename(tmp, d)
+        _commit(d, lt)
+        # the round-complete marker lands only after the rename
         with open(os.path.join(d, "_COMPLETE"), "w") as f:
             f.write("ok")
-        return {
-            "round": r,
-            "scheduled": int(scheduled.sum()),
-            "fetched": int(fetched.sum()),
-            "deferred": int(deferred.sum()),
-            "failed": int(failed.sum()),
-            "errors": int(errors.sum()),
-            "wall_s": wall_s,
-        }
 
     # --- full run ---------------------------------------------------------
     def run(self, seeds: pa.Table | None = None, max_rounds: int | None = None) -> dict:
@@ -1446,8 +1031,8 @@ class CrawlPipeline:
                 seeds = pq.read_table(cfg.extra["seeds_path"])
             self.bootstrap(seeds)
             start = 0
-        # pipelined mode: the resumed/bootstrap round's politeness offers
-        # came from an execution that no longer exists — re-derive them
+        # the resumed/bootstrap round's politeness offers came from an
+        # execution that no longer exists — re-derive them
         self._backfill_offers(start)
         if self.cfg.extra.get("error_backoff") and start > 0:
             self._backfill_errors(start - 1)
@@ -1476,17 +1061,14 @@ class CrawlPipeline:
                     continue
                 break
             idle = 0
-            stats = self.run_round(r)
+            self.run_round(r)
             totals["rounds"] += 1
-            for k in ("fetched", "scheduled", "errors", "failed"):
-                if k in stats:
-                    totals[k] += stats[k]
             r += 1
         self._join_bg()
         totals["last_round"] = r - 1
-        if totals["rounds"] and totals["scheduled"] == 0:
-            # pipelined rounds defer their counting to the background
-            # lineage writer — aggregate from the lineage checkpoints
+        if totals["rounds"]:
+            # rounds defer their counting to the background lineage
+            # writer — aggregate from the lineage checkpoints
             lin = pads.dataset(self._p("lineage"), format="parquet").to_table(
                 columns=["round", "urls_scheduled", "urls_fetched", "urls_failed", "errors"]
             ).to_pandas()

@@ -233,12 +233,12 @@ class GoldenCrawl:
         carry = carry.drop(columns=["gate", "salt", "nsalt"])
 
         # discovered: normalize + dedup; attributes are pure functions of
-        # (url, round) — same rule as the engine's _explode_outlinks
+        # (url, round) — same rule as roundstep's _explode_outlinks
         # (depth = discovery round + 1, priority = 0, warc_ts =
         # deterministic per-url jitter), so no parent-merge is needed
         next_rows = []
         if discovered:
-            from .crawl import _TS_BASE_US, _TS_JITTER_US
+            from ..stages.roundstep import _TS_BASE_US, _TS_JITTER_US
 
             d_urls = [d[0] for d in discovered]
             norm, hosts, ok = normalize_many(d_urls)

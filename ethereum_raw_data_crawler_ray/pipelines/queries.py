@@ -871,7 +871,6 @@ def _crawl_out(sf_dir: str) -> str:
         n_fetch_buckets=16,
         n_seen_shards=4,
         seen_shard_capacity=1 << 18,
-        fetch_concurrency=4,
         extra={
             "robots_path": corpus + "/robots.parquet",
             "seeds_path": corpus + "/seeds.parquet",

@@ -31,16 +31,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--fetch-buckets", type=int, default=32)
     p.add_argument("--seen-shards", type=int, default=8)
     p.add_argument("--shard-capacity", type=int, default=1 << 20)
-    p.add_argument("--fetch-concurrency", type=int, default=8)
     p.add_argument("--round-ms", type=int, default=60_000)
     p.add_argument("--max-per-host-round", type=int, default=1_000)
     p.add_argument("--host-salt", type=int, default=1)
     p.add_argument("--error-permille", type=int, default=0)
     p.add_argument("--enrich", action="store_true",
                    help="in-flight page analytics (langid/quality/simhash/fingerprint/minhash)")
-    p.add_argument("--politeness-mode", choices=["cutoff", "groupby"], default="cutoff")
-    p.add_argument("--fetch-mode", choices=["store", "parquet"], default="store",
-                   help="store: resident page-store shard actors; parquet: store-less index probes")
     p.add_argument("--store-mode", choices=["preload", "lazy"], default="preload",
                    help="preload: shards decode their pages once; lazy: hash->row-group "
                         "index + LRU of decoded groups (the 100-TB memory shape)")
@@ -86,9 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         "host_salt": args.host_salt,
         "error_permille": args.error_permille,
         "enrich": args.enrich,
-        "politeness_mode": args.politeness_mode,
         "checkpoint_every": args.checkpoint_every,
-        "fetch_mode": args.fetch_mode,
         "store_mode": args.store_mode,
     }
     if args.robots:
@@ -105,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         n_fetch_buckets=args.fetch_buckets,
         n_seen_shards=args.seen_shards,
         seen_shard_capacity=args.shard_capacity,
-        fetch_concurrency=args.fetch_concurrency,
         round_ms=args.round_ms,
         max_per_host_round=args.max_per_host_round,
         extra=extra,

@@ -1,38 +1,29 @@
-"""Simulated fetch + extract stage (SURVEY.md S1/S3 + M2).
+"""Simulated fetch + extract helpers (SURVEY.md S1/S3 + M2).
 
 The reference fetches one block per RPC call with 3 retries and
 reconnect-on-error (``ethereum_service.go:142-185``), then its
 transactions (``:256-315``). The sandbox has no network, so "fetching" a
-URL is a lookup against the pages corpus, via one of two modes:
-
-* **store mode** (default): scatter-gather point lookups against the
-  long-lived :class:`..state.store.PageStoreShard` actor pool — the
-  honest shape of a distributed content store; per-batch cost is
-  O(batch), the corpus is loaded once per run, never per round.
-* **parquet mode**: probe the hash-bucketed fetch index directly with an
-  ``url ∈ {...}`` predicate pushed into the Parquet read — no resident
-  state, pays read amplification per round; kept as the no-memory path.
-
-Both modes share error injection (deterministic transient failures — the
-analog of RPC errors driving the retry path,
-``scheduler_service.go:324-357``) and the extraction step
-(strict→lenient→raw fallback chain, :mod:`..functions.extract`).
+URL is a point lookup against the resident page-store shard actors
+(:mod:`..state.store`), served from the hash-bucketed fetch index that
+:func:`build_fetch_index` writes once per run. The fused round step
+(:mod:`.roundstep`) does the lookup; this module holds the rest of the
+fetch: deterministic transient error injection (the analog of RPC
+errors driving the retry path, ``scheduler_service.go:324-357``; the
+golden simulator uses the same functions) and the round-table builder
+with the extraction step (strict→lenient→raw fallback chain,
+:mod:`..functions.extract`).
 """
 
 from __future__ import annotations
 
-import glob
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..functions.extract import extract_batch
 from ..functions.hashing import hash_strings
-from ..state.politeness import GATE_FETCH
 
 STATUS_FETCHED = "fetched"
 STATUS_ERROR = "error"
@@ -203,121 +194,3 @@ def _assemble(df: pd.DataFrame, payloads: list, fetch_ix: np.ndarray,
         for b in range(4):
             cols[f"minhash_band{b}"] = pa.array(bands[:, b], type=pa.uint64())
     return pa.table(cols)
-
-
-def fetch_via_store(
-    df: pd.DataFrame, *, store_handles: list, error_permille: int = 0,
-    enrich: bool = False,
-) -> pa.Table:
-    """Store-mode fetch: stateless task, scatter-gather to the page-store
-    shard actors (closure-serialized handles), extract inline."""
-    from ..state.store import fetch_scatter
-
-    fetch_mask = (df["gate"] == GATE_FETCH).to_numpy()
-    fetch_ix = np.flatnonzero(fetch_mask)
-    urls = df["url"].to_numpy()[fetch_mask]
-    hashes = df["url_hash"].to_numpy().astype(np.uint64)[fetch_mask]
-    attempts = df["attempts"].to_numpy()[fetch_mask]
-    fail_now = transient_fail_mask(hashes, attempts, error_permille)
-    payloads: list = [None] * len(urls)
-    if (~fail_now).any():
-        got = fetch_scatter(store_handles, urls[~fail_now], hashes[~fail_now])
-        for k, i in enumerate(np.flatnonzero(~fail_now)):
-            payloads[i] = got[k]
-    return _assemble(df, payloads, fetch_ix, fail_now, enrich=enrich)
-
-
-_BUCKET_FILE_CACHE: dict = {}
-
-
-def bucket_files_of(index_dir: str, n_buckets: int, version: int = 0) -> dict:
-    """bucket → fragment paths, cached per worker process. ``version``
-    (the count of watch-mode ingest batches) busts the cache when new
-    index files appear mid-run."""
-    key = (index_dir, n_buckets, version)
-    if key not in _BUCKET_FILE_CACHE:
-        _BUCKET_FILE_CACHE[key] = {
-            j: sorted(glob.glob(os.path.join(index_dir, f"bucket={j}", "*.parquet")))
-            for j in range(n_buckets)
-        }
-    return _BUCKET_FILE_CACHE[key]
-
-
-def parquet_probe(index_dir: str, n_buckets: int, urls: np.ndarray,
-                  hashes: np.ndarray, version: int = 0) -> list:
-    """Store-less fetch: read only the owning buckets with an isin filter
-    pushed into the Parquet scan. Returns per-url payloads (None = miss),
-    aligned to input order."""
-    bucket_files = bucket_files_of(index_dir, n_buckets, version)
-    buckets = (hashes.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-    by_url: dict = {}
-    for j in np.unique(buckets):
-        sub = urls[buckets == j]
-        files = bucket_files.get(int(j), [])
-        if not files:
-            continue
-        dset = pads.dataset(files, format="parquet")
-        t = dset.to_table(
-            columns=["url", "warc_ts", "html", "lang"],
-            filter=pc.field("url").isin(pa.array(sub, type=pa.string())),
-        )
-        for u, ts, h, lg in zip(
-            t["url"].to_pylist(),
-            t["warc_ts"].cast(pa.int64()).to_pylist(),
-            t["html"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            by_url[u] = (ts, h, lg)
-    return [by_url.get(u) for u in urls]
-
-
-class FetchSim:
-    """Parquet-probe fetch mode: map_batches actor holding the bucket →
-    fragment-paths map (resolved once per actor in __init__)."""
-
-    def __init__(self, index_dir: str, n_buckets: int, error_permille: int = 0,
-                 enrich: bool = False):
-        self.n_buckets = n_buckets
-        self.error_permille = error_permille
-        self.enrich = enrich
-        self.bucket_files: dict[int, list[str]] = {}
-        for j in range(n_buckets):
-            files = sorted(glob.glob(os.path.join(index_dir, f"bucket={j}", "*.parquet")))
-            self.bucket_files[j] = files
-
-    def _lookup(self, urls: np.ndarray, hashes: np.ndarray) -> dict:
-        """url → (warc_ts_us, html, lang) for urls present, read only from
-        the owning buckets with an isin filter pushed into the scan."""
-        buckets = (hashes % np.uint64(self.n_buckets)).astype(np.int64)
-        out: dict = {}
-        for j in np.unique(buckets):
-            sub = urls[buckets == j]
-            files = self.bucket_files.get(int(j), [])
-            if not files:
-                continue
-            dset = pads.dataset(files, format="parquet")
-            t = dset.to_table(
-                columns=["url", "warc_ts", "html", "lang"],
-                filter=pc.field("url").isin(pa.array(sub, type=pa.string())),
-            )
-            for u, ts, h, lg in zip(
-                t["url"].to_pylist(),
-                t["warc_ts"].cast(pa.int64()).to_pylist(),
-                t["html"].to_pylist(),
-                t["lang"].to_pylist(),
-            ):
-                out[u] = (ts, h, lg)
-        return out
-
-    def __call__(self, df: pd.DataFrame) -> pa.Table:
-        fetch_mask = (df["gate"] == GATE_FETCH).to_numpy()
-        fetch_ix = np.flatnonzero(fetch_mask)
-        urls = df["url"].to_numpy()[fetch_mask]
-        hashes = df["url_hash"].to_numpy().astype(np.uint64)[fetch_mask]
-        attempts = df["attempts"].to_numpy()[fetch_mask]
-        fail_now = transient_fail_mask(hashes, attempts, self.error_permille)
-        by_url = self._lookup(urls[~fail_now], hashes[~fail_now])
-        payloads = [
-            None if fail_now[k] else by_url.get(u) for k, u in enumerate(urls)
-        ]
-        return _assemble(df, payloads, fetch_ix, fail_now, enrich=self.enrich)

@@ -1,6 +1,6 @@
 """The fused round step — ONE map_batches stage does the whole round.
 
-Pipelined crawl mode: for each frontier batch the task
+Every crawl round runs this stage: for each frontier batch the task
   1. gates (robots / skip-window / politeness cutoff — cutoffs were
      collected from the offers streamed during the PREVIOUS round's
      execution, so no shuffle and no extra barrier is needed);
@@ -31,6 +31,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import hash_strings
+from ..functions.urlnorm import normalize_many
 from ..schema import FRONTIER
 from ..state.politeness import (
     GATE_DEFER,
@@ -47,6 +49,57 @@ ROW_CARRY = "carry"
 ROW_DISC = "discovered"
 
 _FRONTIER_COLS = [f.name for f in FRONTIER]
+
+# discovered-row attributes are PURE FUNCTIONS of (url, discovery round):
+#   depth    := round + 1   (discovery depth — frontier enters in BFS waves)
+#   priority := 0           (base priority; reprioritization is a frontier rewrite)
+#   warc_ts  := BASE + url_hash-derived jitter (deterministic enqueue-time analog)
+# Consequence: duplicates of a URL discovered by many parents in the same
+# round are IDENTICAL rows, so the seen-shard first-claim IS the dedup —
+# no per-round groupby(url) shuffle (the sort-based aggregate was the
+# dominant per-round cost; this removes the all-to-all entirely,
+# SURVEY.md §7.3 "minimize shuffles").
+_TS_JITTER_US = np.int64(30 * 86400) * np.int64(1_000_000)
+_TS_BASE_US = np.int64(1753401600000000)  # 2025-07-25T00:00:00Z
+
+
+def _explode_outlinks(t: pa.Table, *, round_no: int) -> pa.Table:
+    """fetched rows → one frontier row per distinct valid outlink in the
+    batch (normalized; invalid URLs dropped — the malformed-input
+    robustness mirror). Cross-batch duplicates are handled by the seen
+    filter (identical rows, order-independent)."""
+    links = t["outlinks"].to_pylist()
+    urls: list[str] = []
+    for ls in links:
+        if ls:
+            urls.extend(ls)
+    norm, hosts, ok = normalize_many(urls)
+    # within-batch dedup (cheap; reduces seen-actor traffic)
+    seen_local: set = set()
+    for i in range(len(norm)):
+        if ok[i]:
+            if norm[i] in seen_local:
+                ok[i] = False
+            else:
+                seen_local.add(norm[i])
+    norm = norm[ok]
+    hosts = hosts[ok]
+    n = len(norm)
+    h = hash_strings(norm)
+    ts = _TS_BASE_US + (h % np.uint64(_TS_JITTER_US)).astype(np.int64)
+    return pa.table(
+        {
+            "url": pa.array(norm, type=pa.string()),
+            "url_hash": pa.array(h, type=pa.uint64()),
+            "host": pa.array(hosts, type=pa.string()),
+            "priority": pa.array(np.zeros(n, dtype=np.int32)),
+            "depth": pa.array(np.full(n, round_no + 1, dtype=np.int32)),
+            "warc_ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
+            "attempts": pa.array(np.zeros(n, dtype=np.int32)),
+            "skip_until_round": pa.array(np.full(n, -1, dtype=np.int32)),
+        },
+        schema=FRONTIER,
+    )
 
 
 def round_task(batch: pa.Table, *, round_no: int, **kwargs):
@@ -129,7 +182,7 @@ def round_step(
     round_no: int,
     cutoffs_ref,
     robots_ref,
-    store_handles: list | None,
+    store_handles: list,
     seen_handles: list,
     cutoff_handles: list,
     round_ms: int,
@@ -140,7 +193,6 @@ def round_step(
     skip_rounds: int,
     error_permille: int = 0,
     enrich: bool = False,
-    parquet_index: tuple | None = None,  # (index_dir, n_buckets) store-less mode
     hot_gate: dict | None = None,   # per-host salt map for THIS round's pkeys
     hot_offer: dict | None = None,  # per-host salt map for round r+1's offers
     error_backoff: bool = False,
@@ -150,7 +202,6 @@ def round_step(
     import time as _time
 
     from ..functions.broadcast import get_broadcast
-    from ..pipelines.crawl import _explode_outlinks
     from ..state.seen import claim_scatter_finish, claim_scatter_submit
     from ..state.store import fetch_scatter
 
@@ -193,15 +244,7 @@ def round_step(
     fail_now = transient_fail_mask(hashes, attempts, error_permille)
     payloads: list = [None] * len(urls)
     if (~fail_now).any():
-        if store_handles is not None:
-            got = fetch_scatter(store_handles, urls[~fail_now], hashes[~fail_now])
-        else:
-            from .fetch import parquet_probe
-
-            got = parquet_probe(
-                parquet_index[0], parquet_index[1], urls[~fail_now], hashes[~fail_now],
-                version=parquet_index[2] if len(parquet_index) > 2 else 0,
-            )
+        got = fetch_scatter(store_handles, urls[~fail_now], hashes[~fail_now])
         for k, i in enumerate(np.flatnonzero(~fail_now)):
             payloads[i] = got[k]
     _mark()  # fetch-lookup

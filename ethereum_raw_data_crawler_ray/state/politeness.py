@@ -15,27 +15,26 @@ refills at the round boundary. No wall clock appears anywhere, which is
 what makes checkpoint-resume bit-identical.
 
 Selection is exact per-host top-k by the frontier ordering
-``(priority, depth, warc_ts, url)`` computed in two phases:
+``(priority, depth, warc_ts, url_hash)`` with no shuffle:
 
-* phase 1 — stateless per-batch partial top-k (a combiner: the global
-  top-k of a host is a subset of the union of per-batch top-ks), which
-  bounds what the shuffle moves;
-* phase 2 — ``groupby(politeness-key).map_groups`` over an actor pool
-  holding the robots table (loaded once per actor from a ``ray.put``
-  broadcast), final top-k per key.
+* while round r-1 executes, each task offers its batch's partial top-k
+  of round-r candidates (a combiner: the global top-k of a host is a
+  subset of the union of per-batch top-ks) to the :class:`CutoffPool`
+  shard owning the politeness key;
+* at the round boundary each shard finalizes one cutoff tuple per key —
+  the budget-th best candidate — and round r's tasks gate every row
+  against it (:func:`gate_full`).
 
 Host-skew salting (explicit skew rule, SURVEY.md §4/§7.3): the politeness
 key of a salted host is ``host#(url_hash % n)#n``, splitting its frontier
-rows across ``n`` groups; the host's budget is split deterministically
+rows across ``n`` keys; the host's budget is split deterministically
 across salts (floor split, remainder to salt 0 — the sum is exactly the
 budget, so the per-true-host cap still holds). ``n`` is the global base
 (``extra["host_salt"]``) raised AUTOMATICALLY per host by
 :func:`salt_count_for` whenever the host's raw candidate count exceeds
 ``CrawlConfig.host_skew_threshold`` (decided at round collect from the
 previous round's offered counts — one round of lag, deterministic, and
-mirrored by the golden simulator). Auto-salting applies to the default
-cutoff mode; the legacy groupby cross-validation mode uses the global
-base only.
+mirrored by the golden simulator).
 """
 
 from __future__ import annotations
@@ -170,68 +169,6 @@ def robots_denied_mask(urls: np.ndarray, hosts: np.ndarray, robots: dict) -> np.
     return out
 
 
-def phase1_gate(
-    df: pd.DataFrame,
-    *,
-    robots_ref,
-    round_no: int,
-    round_ms: int,
-    default_delay_ms: int,
-    max_per_host: int,
-    n_salt: int,
-) -> pd.DataFrame:
-    """Per-batch gate — a stateless map_batches task; the robots table is
-    a ray.put broadcast resolved once per worker process (no per-round
-    actor-pool spin-up — that fixed cost would cap scaling efficiency).
-
-    Output: same rows with ``gate`` ∈ {candidate, defer, robots_denied,
-    skipped} and a ``pkey`` politeness-shuffle key. Per-batch partial
-    top-k caps each salted key at its budget share (a combiner: the
-    global per-key top-k is a subset of the union of per-batch top-ks,
-    so cutting here never cuts a row the final stage would select)."""
-    from ..functions.broadcast import get_broadcast
-
-    robots = get_broadcast(robots_ref)
-    n_salt = max(1, n_salt)
-    n = len(df)
-    gate = np.full(n, GATE_CANDIDATE, dtype=object)
-
-    urls = df["url"].to_numpy()
-    hosts = df["host"].to_numpy()
-    # robots gate (analog of skip-set filter F4, scheduler_service.go:291-303
-    # — but content-based: disallowed prefixes never fetch)
-    gate[robots_denied_mask(urls, hosts, robots)] = GATE_ROBOTS
-    # retry skip-window: rows sitting out their skip_rounds penalty
-    skipped = df["skip_until_round"].to_numpy() > round_no
-    gate[skipped & (gate == GATE_CANDIDATE)] = GATE_SKIPPED
-
-    df = df.assign(gate=gate)
-    if n_salt > 1:
-        salt = (
-            df["url_hash"].to_numpy(dtype=np.uint64) % np.uint64(n_salt)
-        ).astype(np.int64)
-        df["pkey"] = df["host"] + "#" + salt.astype(str)
-    else:
-        df["pkey"] = df["host"]
-
-    cand = df[df["gate"] == GATE_CANDIDATE]
-    if len(cand):
-        ranked = cand.sort_values(ORDER_COLS, kind="mergesort")
-        keep_ix = []
-        for pkey, g in ranked.groupby("pkey", sort=False):
-            host, salt_no = (pkey.rsplit("#", 1) if n_salt > 1 else (pkey, 0))
-            b = salt_budget(
-                budget_for(host, robots, round_ms, default_delay_ms, max_per_host),
-                n_salt,
-                int(salt_no),
-            )
-            keep_ix.append(g.index[:b].to_numpy())
-        keep = pd.Index(np.concatenate(keep_ix))
-        over = cand.index.difference(keep)
-        df.loc[over, "gate"] = GATE_DEFER
-    return df
-
-
 def pkey_of(
     hosts: np.ndarray, url_hash: np.ndarray, n_salt: int, hot: dict | None = None
 ) -> np.ndarray:
@@ -280,7 +217,7 @@ def offer_candidates(
 ) -> None:
     """Offer this batch's per-pkey partial top-k of candidates for
     ``round_no`` to the cutoff actors. Used by the producing tasks of the
-    previous round (pipelined mode) and by bootstrap/resume backfill.
+    previous round and by bootstrap/resume backfill.
     Fully numpy (lexsort + group slicing): this runs in EVERY round-step
     task, so per-task pandas overhead would cap small-batch scaling.
 
@@ -448,7 +385,7 @@ def gate_full(
     n_salt: int,
     hot: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Complete gate for the pipelined round step: robots/skip, then
+    """Complete gate for the round step: robots/skip, then
     candidate → fetch iff order key ≤ the per-pkey cutoff (no cutoff
     entry = fewer candidates than budget → all fetch). Returns
     (gate array, pkey array). ``hot`` must be the SAME per-host salt map
@@ -537,22 +474,6 @@ class _CutoffState:
         return out
 
 
-def make_budget_fn(robots: dict, round_ms: int, default_delay_ms: int,
-                   max_per_host: int):
-    """pkey → budget. Salted pkeys are self-describing (host#salt#n), so
-    per-host automatic salt counts need no side table here."""
-
-    def f(pkey: str) -> int:
-        host, salt, n = parse_pkey(pkey)
-        return salt_budget(
-            budget_for(host, robots, round_ms, default_delay_ms, max_per_host),
-            n,
-            salt,
-        )
-
-    return f
-
-
 class CutoffPool:
     """Pool of politeness-bucket actors — the per-host token buckets of
     the north star, keyed by pkey hash instead of a groupby shuffle.
@@ -610,21 +531,13 @@ class CutoffPool:
 
             def health(self) -> dict:
                 """SystemHealth analog (crawler_metrics.go:46-68)."""
-                import ray as _ray
-
-                try:
-                    rec = (
-                        _ray.get_runtime_context().was_current_actor_reconstructed
-                    )
-                except Exception:
-                    rec = False
                 import os as _os
 
-                from ..state.resources import proc_rss_kb
+                from ..state.resources import actor_restarted, proc_rss_kb
 
                 tm = _os.times()
                 return {
-                    "reconstructed": bool(rec),
+                    "reconstructed": actor_restarted(),
                     "items": sum(len(s.keys) for s in self.rounds.values()),
                     "cpu_s": float(tm.user + tm.system),
                     "rss_kb": proc_rss_kb(),
@@ -889,44 +802,3 @@ def _leq_cutoff(p, d, t, h, c: tuple) -> np.ndarray:
         | ((p == cp) & (d == cd) & (t < ct))
         | ((p == cp) & (d == cd) & (t == ct) & (h <= np.uint64(ch)))
     )
-
-
-def final_gate(
-    g: pd.DataFrame,
-    *,
-    robots_ref,
-    round_ms: int,
-    default_delay_ms: int,
-    max_per_host: int,
-    n_salt: int,
-) -> pd.DataFrame:
-    """Per-(host,salt)-group final top-k after the groupby("pkey")
-    shuffle: the group IS the host's (salted) token bucket for the round
-    — budget slots are granted in frontier order, the rest defer to the
-    next round (the bucket refills at the round boundary). Deterministic:
-    no wall clock, no mutable state — the reference's global-sleep rate
-    limiter (ethereum_service.go:585-591) replaced by pure selection."""
-    from ..functions.broadcast import get_broadcast
-
-    if not len(g):
-        return g
-    robots = get_broadcast(robots_ref)
-    n_salt = max(1, n_salt)
-    pkey = g["pkey"].iat[0]
-    if n_salt > 1:
-        host, salt_s = pkey.rsplit("#", 1)
-        salt = int(salt_s)
-    else:
-        host, salt = pkey, 0
-    budget = salt_budget(
-        budget_for(host, robots, round_ms, default_delay_ms, max_per_host),
-        n_salt,
-        salt,
-    )
-    cand_mask = g["gate"].to_numpy() == GATE_CANDIDATE
-    cand = g[cand_mask].sort_values(ORDER_COLS, kind="mergesort")
-    fetch_ix = cand.index[:budget]
-    gate = g["gate"].copy()
-    gate.loc[g.index[cand_mask]] = GATE_DEFER
-    gate.loc[fetch_ix] = GATE_FETCH
-    return g.assign(gate=gate)

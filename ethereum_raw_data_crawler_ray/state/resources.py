@@ -63,6 +63,27 @@ def shard_cpu_reservation(pool: str, n_shards: int,
     return round(min(1.0, max(_TOKEN, per)), 4)
 
 
+def actor_restarted() -> bool:
+    """Has the calling actor been restarted since it was created?  Reads
+    the actor's restart count from the GCS actor table.  Ray 2.49's
+    ``RuntimeContext.was_current_actor_reconstructed`` does the same
+    lookup through the deprecated ``actor_id`` accessor and emits two
+    ``RayDeprecationWarning``s per call, which flooded every log that
+    polls shard health.  False outside an actor or when the table is
+    unreachable."""
+    import ray
+    from ray._private.state import actors
+
+    try:
+        aid = ray.get_runtime_context().get_actor_id()
+        if aid is None:
+            return False
+        info = actors(aid)
+        return bool(info) and info["NumRestarts"] != 0
+    except Exception:
+        return False
+
+
 def proc_rss_kb() -> int:
     """Resident-set size of the calling process in KiB via /proc (no
     psutil in the environment) — the memory gauge next to ``cpu_s`` in

@@ -151,11 +151,9 @@ class SeenShard:
         self._fresh = False
         self._restored_round = -2
         if ckpt_root:
-            try:
-                restarted = ray.get_runtime_context().was_current_actor_reconstructed
-            except Exception:
-                restarted = False
-            if restarted:
+            from .resources import actor_restarted
+
+            if actor_restarted():
                 self._fresh = True
                 path, rr = self._newest_dump(ckpt_root)
                 if path is not None:
@@ -188,14 +186,10 @@ class SeenShard:
     def health(self) -> dict:
         """SystemHealth analog (crawler_metrics.go:46-68): has this
         shard ever been reconstructed, and how much state does it hold."""
-        try:
-            rec = ray.get_runtime_context().was_current_actor_reconstructed
-        except Exception:
-            rec = False
-        from .resources import proc_rss_kb
+        from .resources import actor_restarted, proc_rss_kb
 
         tm = os.times()
-        return {"reconstructed": bool(rec), "items": int(self.filter.count),
+        return {"reconstructed": actor_restarted(), "items": int(self.filter.count),
                 "cpu_s": float(tm.user + tm.system),
                 "rss_kb": proc_rss_kb()}
 
@@ -334,58 +328,30 @@ class ActorSeenSet:
         self.handles = []
 
 
-class SeenFilterBatch:
-    """``map_batches`` UDF: keep only rows whose ``url_hash`` is novel,
-    claiming them in the seen shards as a side effect (the distributed
-    equivalent of exists-probe-then-insert-with-E11000-as-success,
-    ``crawler_service.go:433-457``). Actor handles serialize into the UDF
-    closure; each batch task scatter-gathers to the owning shards.
-    When ``round_no`` is given, claims are replay-safe under Ray task
-    retry (see :func:`claim_token`)."""
-
-    def __init__(self, handles: list, round_no: int | None = None):
-        self.handles = handles
-        self.n_shards = len(handles)
-        self.round_no = round_no
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        hashes = np.asarray(batch["url_hash"].to_pandas(), dtype=np.uint64)
-        novel = claim_scatter(self.handles, hashes, self.round_no)
-        return batch.filter(pa.array(novel))
-
-
 def claim_scatter_submit(
-    handles: list, hashes: np.ndarray, round_no: int | None = None,
-    task_key: int | None = None,
+    handles: list, hashes: np.ndarray, round_no: int, task_key: int,
 ) -> tuple[list, list, int]:
     """Issue the shard claim calls WITHOUT waiting — lets the caller
     overlap other work (e.g. politeness offers for rows that don't
     depend on the claim results) with the actor round trips.
 
     ``task_key``: stable identity of the calling task (hash of its input
-    frontier batch). Defaults to the full claimed array's own hash — the
-    per-shard token is then still salted by what the task claimed
-    OVERALL, so two tasks with identical per-shard sub-arrays but
-    different claim sets can no longer collide (ADVICE r02)."""
+    frontier batch). Each per-shard sub-array carries a claim token
+    salted by it, so a retried task replays its own claims instead of
+    losing the rows, and two tasks with identical per-shard sub-arrays
+    but different claim sets get different tokens (ADVICE r02)."""
     n_shards = len(handles)
     sid = shard_of(hashes, n_shards)
-    if round_no is not None and task_key is None:
-        task_key = claim_token(hashes)
     refs, ixs = [], []
     for j in range(n_shards):
         ix = np.flatnonzero(sid == j)
         if ix.size:
             sub = hashes[ix]
-            if round_no is None:
-                refs.append(handles[j].check_and_insert.remote(sub))
-            else:
-                refs.append(
-                    handles[j].check_and_insert.remote(
-                        sub, round_no, claim_token(sub, task_key)
-                    )
+            refs.append(
+                handles[j].check_and_insert.remote(
+                    sub, round_no, claim_token(sub, task_key)
                 )
+            )
             ixs.append(ix)
     return refs, ixs, len(hashes)
 
@@ -395,15 +361,3 @@ def claim_scatter_finish(refs: list, ixs: list, n: int) -> np.ndarray:
     for ix, res in zip(ixs, ray.get(refs)):
         novel[ix] = res
     return novel
-
-
-def claim_scatter(
-    handles: list, hashes: np.ndarray, round_no: int | None = None,
-    task_key: int | None = None,
-) -> np.ndarray:
-    """Scatter-gather check_and_insert against the owning shards; with a
-    round_no, each sub-array carries its task-salted claim token so a
-    retried task replays its own claims instead of losing the rows."""
-    return claim_scatter_finish(
-        *claim_scatter_submit(handles, hashes, round_no, task_key)
-    )

@@ -6,7 +6,9 @@ long-lived actors, each owning one hash range of the pages corpus
 (``url_hash % n_shards``). A fetch is a scatter-gather of point lookups
 — O(batch) per batch, never O(corpus) — which is the honest shape of a
 distributed content store and keeps per-round cost proportional to the
-round.
+round. It is the crawl's only fetch path: every round task looks its
+pages up here, and watch-mode ingest adds pushed index files to the
+live shards (:meth:`ActorPageStore.load_new_files`).
 
 Two residency modes (``extra["store_mode"]``):
 
@@ -18,8 +20,9 @@ Two residency modes (``extra["store_mode"]``):
   demand through a bounded LRU of decoded groups. Memory is
   index + LRU, independent of corpus payload size.
 
-Both modes share the packed-buffer fetch protocol and are
-cross-validated by tests (lazy crawl output == preload crawl output).
+Both modes share the packed-buffer fetch protocol and the incremental
+``load_files`` path, and are cross-validated by tests (lazy crawl output
+== preload crawl output, and pushed pages crawled in both).
 """
 
 from __future__ import annotations
@@ -188,15 +191,11 @@ class PageStoreShard:
 
     def health(self) -> dict:
         """SystemHealth analog (crawler_metrics.go:46-68)."""
-        try:
-            rec = ray.get_runtime_context().was_current_actor_reconstructed
-        except Exception:
-            rec = False
-        from .resources import proc_rss_kb
+        from .resources import actor_restarted, proc_rss_kb
 
         n = len(self.store) if self.mode == "preload" else self._n_pages
         tm = os.times()
-        return {"reconstructed": bool(rec), "items": int(n),
+        return {"reconstructed": actor_restarted(), "items": int(n),
                 "cpu_s": float(tm.user + tm.system),
                 "rss_kb": proc_rss_kb()}
 

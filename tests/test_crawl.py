@@ -35,8 +35,6 @@ def make_cfg(corpus_dir: str, tag: str) -> CrawlConfig:
         n_fetch_buckets=8,
         n_seen_shards=4,
         seen_shard_capacity=1 << 16,
-        fetch_concurrency=2,
-        cpus_per_fetch_actor=0.5,
         extra={
             "robots_path": corpus_dir + "/robots.parquet",
             "seeds_path": corpus_dir + "/seeds.parquet",
@@ -186,63 +184,26 @@ class TestRobots:
         assert not df["url"].str.contains("/private/").any()
 
 
-class TestFrontierPathEquivalence:
-    def test_alternate_paths_match_default(self, crawl_run, corpus_dir):
-        # cross-validation: the distributed frontier derivation AND the
-        # groupby-shuffle politeness path must produce the same crawl as
-        # the defaults (driver-side small-round frontier + cutoff-actor
-        # politeness)
-        cfg_main, _, _ = crawl_run
-        cfg = make_cfg(corpus_dir, "raypath")
-        cfg = CrawlConfig(
-            **{
-                **cfg.__dict__,
-                "extra": {
-                    **cfg.extra,
-                    "frontier_driver_threshold": 0,
-                    "politeness_mode": "groupby",
-                },
-            }
-        )
-        shutil.rmtree(cfg.out_dir, ignore_errors=True)
-        p = CrawlPipeline(cfg)
-        p.run(max_rounds=60)
-        p.close()
-        a = _rounds_df(cfg_main.out_dir).sort_values("url").reset_index(drop=True)
-        b = _rounds_df(cfg.out_dir).sort_values("url").reset_index(drop=True)
-        cols = ["url", "text", "round", "depth"]
-        pd.testing.assert_frame_equal(a[cols], b[cols])
-
-
 class TestAltConfigPaths:
-    def test_parquet_fetch_ray_events_ckpt_interval(self, crawl_run, corpus_dir):
-        # one crawl exercising the three non-default paths together:
-        # parquet-probe fetch mode (no resident store), Ray-exec events
-        # projection, and checkpoint_every>1 — output must match defaults
-        cfg_main, _, _ = crawl_run
+    def test_ckpt_interval_matches_golden(self, golden_run, corpus_dir):
+        # checkpoint_every>1 skips seen dumps between rounds; the crawl
+        # must still equal the golden simulator's
         cfg = make_cfg(corpus_dir, "altpaths")
         cfg = CrawlConfig(
-            **{
-                **cfg.__dict__,
-                "extra": {
-                    **cfg.extra,
-                    "fetch_mode": "parquet",
-                    "events_via_ray": True,
-                    "checkpoint_every": 3,
-                },
-            }
+            **{**cfg.__dict__, "extra": {**cfg.extra, "checkpoint_every": 3}}
         )
         shutil.rmtree(cfg.out_dir, ignore_errors=True)
         p = CrawlPipeline(cfg)
         p.run(max_rounds=60)
         p.close()
-        a = _rounds_df(cfg_main.out_dir).sort_values("url").reset_index(drop=True)
-        b = _rounds_df(cfg.out_dir).sort_values("url").reset_index(drop=True)
-        cols = ["url", "text", "round", "depth"]
-        pd.testing.assert_frame_equal(a[cols], b[cols])
-        ea = events_output(cfg_main.out_dir).to_pandas()
-        eb = events_output(cfg.out_dir).to_pandas()
-        assert set(zip(ea["url"], ea["round"])) == set(zip(eb["url"], eb["round"]))
+        df = _rounds_df(cfg.out_dir)
+        assert dict(zip(df["url"], df["text"])) == {
+            u: pg["text"] for u, pg in golden_run["pages"].items()
+        }
+        ev = events_output(cfg.out_dir).to_pandas()
+        assert set(zip(ev["url"], ev["n_bytes"], ev["lang"], ev["round"])) == {
+            (e["url"], e["n_bytes"], e["lang"], e["round"]) for e in golden_run["events"]
+        }
 
 
 class TestLazyStoreMode:
@@ -612,30 +573,6 @@ class TestSeenGapHeal:
         pipe.close()
 
 
-class TestWatchLegacyModeRaises:
-    def test_watch_dir_with_groupby_politeness_raises(self, corpus_dir, ray_session):
-        # r02 verdict #7: watch mode silently no-oped under the legacy
-        # groupby politeness mode; it must now fail loudly
-        cfg = make_cfg(corpus_dir, "watchlegacy")
-        wd = "/tmp/watch_dir_legacy"
-        os.makedirs(wd, exist_ok=True)
-        cfg = CrawlConfig(
-            **{
-                **cfg.__dict__,
-                "extra": {
-                    **cfg.extra,
-                    "watch_dir": wd,
-                    "politeness_mode": "groupby",
-                },
-            }
-        )
-        shutil.rmtree(cfg.out_dir, ignore_errors=True)
-        p = CrawlPipeline(cfg)
-        with pytest.raises(ValueError, match="politeness_mode"):
-            p.run(max_rounds=2)
-        p.close()
-
-
 class TestWatchIngest:
     """Incremental ingest (the WS-push analog): pages published to a
     watched directory mid-run are picked up at the next round boundary;
@@ -707,21 +644,25 @@ class TestWatchIngest:
         sub = df[df["url"].isin(pushed_public)]
         assert (sub["round"] >= 2).all()
 
-    def test_push_with_parquet_fetch_mode(self, corpus_dir, ray_session):
-        # store-less parquet probes cache bucket→file maps per worker;
-        # the ingest version must bust that cache so pushed pages are
-        # found instead of 404ing forever
-        cfg = self._watch_cfg(corpus_dir, "watch_parquet")
+    def test_push_with_lazy_store_mode(self, corpus_dir, ray_session):
+        # lazy store shards index pushed files incrementally: the new
+        # (hash, file, row group) entries merge into the sorted index of
+        # the live shard, so pushed pages are found with their payload
+        cfg = self._watch_cfg(corpus_dir, "watch_lazy")
         cfg = CrawlConfig(
-            **{**cfg.__dict__, "extra": {**cfg.extra, "fetch_mode": "parquet"}}
+            **{**cfg.__dict__,
+               "extra": {**cfg.extra, "store_mode": "lazy", "store_lru_groups": 4}}
         )
         shutil.rmtree(cfg.out_dir, ignore_errors=True)
         self._drive(cfg, corpus_dir, push_at=2)
         df = _rounds_df(cfg.out_dir)
-        pushed = pq.read_table(self._push_file(corpus_dir), columns=["url"])
-        pushed_public = [u for u in pushed["url"].to_pylist() if "/private/" not in u]
-        got = set(df["url"])
-        assert all(u in got for u in pushed_public)
+        pushed = pq.read_table(self._push_file(corpus_dir), columns=["url", "text"])
+        want = {
+            u: t for u, t in zip(pushed["url"].to_pylist(), pushed["text"].to_pylist())
+            if "/private/" not in u
+        }
+        got = dict(zip(df["url"], df["text"]))
+        assert {u: got.get(u) for u in want} == want
 
     def test_idle_fallback_revives_on_late_push(self, corpus_dir, ray_session):
         # hybrid fallback/switchback (scheduler_service.go:250-263,

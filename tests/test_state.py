@@ -229,3 +229,35 @@ class TestPoliteness:
         )
         got = df.sort_values(ORDER_COLS)["url"].tolist()
         assert got == ["a", "b", "c", "d"]
+
+
+class TestActorRestarted:
+    def test_no_deprecation_warning_inside_actor(self, ray_session):
+        # every shard's health() polls this once per round; Ray's own
+        # was_current_actor_reconstructed warns twice per call
+        import ray
+
+        from ethereum_raw_data_crawler_ray.state.resources import actor_restarted
+
+        @ray.remote(num_cpus=0)
+        class Probe:
+            def check(self):
+                import warnings
+
+                from ethereum_raw_data_crawler_ray.state.resources import (
+                    actor_restarted,
+                )
+
+                with warnings.catch_warnings(record=True) as w:
+                    warnings.simplefilter("always")
+                    restarted = actor_restarted()
+                return restarted, [str(x.message) for x in w]
+
+        probe = Probe.remote()
+        try:
+            restarted, warned = ray.get(probe.check.remote())
+        finally:
+            ray.kill(probe)
+        assert restarted is False
+        assert warned == []
+        assert actor_restarted() is False  # the driver is not an actor
