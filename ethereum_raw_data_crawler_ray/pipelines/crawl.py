@@ -56,6 +56,7 @@ from ..state.politeness import (
     CutoffPool,
     load_robots,
 )
+from ..state.pool import StatePool
 from ..state.seen import ActorSeenSet
 from ..state.store import ActorPageStore
 
@@ -103,6 +104,7 @@ class CrawlPipeline:
         self.seen: ActorSeenSet | None = None
         self.store: ActorPageStore | None = None
         self.cutoff_pool: CutoffPool | None = None
+        self.pool: StatePool | None = None
         self.robots_ref = None
         # round → [(frontier file, n_rows)] — footers read once per round
         # (shared by the count, the balanced task assignment and resume
@@ -124,55 +126,57 @@ class CrawlPipeline:
 
     # --- setup ------------------------------------------------------------
     def close(self) -> None:
-        """Release the seen-shard + page-store actors (seen state is on
-        disk in seen/; the store is rebuilt from the index)."""
+        """Release the state actor pool (seen state is on disk in seen/;
+        the store is rebuilt from the index)."""
         self._join_bg()
-        if self.seen is not None:
-            self.seen.kill()
-            self.seen = None
-        if self.store is not None:
-            self.store.kill()
-            self.store = None
-        if self.cutoff_pool is not None:
-            self.cutoff_pool.kill()
-            self.cutoff_pool = None
+        if self.pool is not None:
+            self.pool.kill()
+        self.pool = self.seen = self.store = self.cutoff_pool = None
         self._prepared = False
 
     def prepare(self) -> None:
         # idempotent: run() always calls prepare(), but a caller that
         # prepared explicitly (bench setup, watch loops) must NOT pay a
         # second actor-pool spinup + full store-index reload inside its
-        # timed window — the live pools are reused; close() resets.
+        # timed window — the live pool is reused; close() resets.
         # The guard flag is set at the END, so a prepare() that failed
-        # partway (e.g. store-pool creation raised) is retried in full
-        # rather than leaving a half-initialized pipeline.
+        # partway (e.g. pool creation raised) is retried in full rather
+        # than leaving a half-initialized pipeline.
         if getattr(self, "_prepared", False):
             return
         cfg = self.cfg
         os.makedirs(self.out, exist_ok=True)
         build_fetch_index(cfg.pages_path, cfg.index_dir, cfg.n_fetch_buckets)
-        robots = load_robots(cfg.extra["robots_path"]) if "robots_path" in cfg.extra else {}
+        robots_path = cfg.extra.get("robots_path")
+        robots = load_robots(robots_path) if robots_path else {}
         self._robots = robots  # driver-side copy (ingest offers)
         self.robots_ref = ray.put(robots)
+        # the three state roles share ONE actor pool: actor j hosts store,
+        # seen and cutoff shard j (state/pool.py) — spawning processes is
+        # the set-up cost, so the pool spawns max(n) of them, not the sum
+        self.pool = StatePool()
         self.seen = ActorSeenSet(
-            cfg.n_seen_shards, cfg.seen_shard_capacity, ckpt_root=self._p("seen")
+            cfg.n_seen_shards, cfg.seen_shard_capacity,
+            ckpt_root=self._p("seen"), pool=self.pool,
         )
         n_store = int(cfg.extra.get("n_store_shards", min(8, cfg.n_fetch_buckets)))
         self.store = ActorPageStore(
             cfg.index_dir, cfg.n_fetch_buckets, n_store,
             mode=cfg.extra.get("store_mode", "preload"),
             lru_groups=int(cfg.extra.get("store_lru_groups", 64)),
+            pool=self.pool,
         )
-        self.store.wait_ready()  # index loads ONCE per run, not per round
         self.cutoff_pool = CutoffPool(
             int(cfg.extra.get("n_cutoff_actors", 8)),
-            self.robots_ref,
+            robots_path,
             cfg.round_ms,
             cfg.default_crawl_delay_ms,
             cfg.max_per_host_round,
-            max(1, int(cfg.extra.get("host_salt", 1))),
             error_backoff=bool(cfg.extra.get("error_backoff", False)),
+            pool=self.pool,
         )
+        self.pool.start()
+        self.store.wait_ready()  # index loads ONCE per run, not per round
         self.cutoff_pool.consume_fresh()  # clear the initial flags
         self._prepared = True
 
@@ -931,11 +935,14 @@ class CrawlPipeline:
     def _write_health(self, r: int) -> None:
         """Per-round component-health rows — the SystemHealth analog
         (``crawler_metrics.go:46-68``; reconnect-on-failure
-        ``crawler_service.go:822-861``): one row per stateful shard actor
-        with its reconstruction flag and state size, so a cluster
+        ``crawler_service.go:822-861``): one row per (component, logical
+        shard) with its reconstruction flag and state size, so a cluster
         operator can see which components restarted in which round.
-        Written BEFORE the lineage _COMPLETE marker, so every complete
-        round has health rows."""
+        The roles share pool actors (state/pool.py): the store, seen and
+        cutoff rows of shard j come from the same process, so they report
+        the same ``reconstructed`` flag and the same process ``cpu_s`` /
+        ``rss_kb``. Written BEFORE the lineage _COMPLETE marker, so every
+        complete round has health rows."""
         comps = [
             ("seen", self.seen.health()),
             ("store", self.store.health()),

@@ -4,13 +4,13 @@ Every crawl round runs this stage: for each frontier batch the task
   1. gates (robots / skip-window / politeness cutoff — cutoffs were
      collected from the offers streamed during the PREVIOUS round's
      execution, so no shuffle and no extra barrier is needed);
-  2. fetches gated rows from the page-store shard actors + extracts
+  2. fetches gated rows from the page-store shards + extracts
      (+ optional enrichment);
   3. derives carry rows (defer / skip / error-retry frontier rows for
      round r+1);
   4. explodes fetched outlinks → discovered rows, claims them in the
      seen shards (scatter; first claim wins — the round dedup);
-  5. offers the r+1 candidates' partial top-k to the cutoff actors
+  5. offers the r+1 candidates' partial top-k to the cutoff shards
      (politeness state for the NEXT round);
   6. emits one combined Arrow table: page rows (row_kind="page") +
      carry rows ("carry") + discovered rows ("discovered") — the next
@@ -23,6 +23,11 @@ carry a content-derived claim token logged per round, so a retried task
 gets novel=True again for the rows it already claimed instead of
 silently dropping them (see ``state.seen.claim_token``). One Ray
 execution per round total.
+
+The store, seen and cutoff shards are roles of one state actor pool
+(state/pool.py): ``store_handles[j]``, ``seen_handles[j]`` and
+``cutoff_handles[j]`` are the same actor, and a task routes on the
+logical shard ids exactly as if each shard had its own process.
 """
 
 from __future__ import annotations
@@ -272,6 +277,8 @@ def round_step(
     #    those round trips are in flight, then claims are collected and
     #    the novel discovered rows are offered (offers are additive
     #    per-key top-k unions, so splitting them is semantics-free).
+    #    A pool actor hosting both a seen and a cutoff shard queues the
+    #    two calls, which costs microseconds on small tail rounds.
     #    Claims stay replay-safe via the per-round claim-token log
     #    (state.seen.claim_token).
     # stable task identity: the input frontier batch's url_hash content.

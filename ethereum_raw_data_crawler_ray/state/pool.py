@@ -1,0 +1,181 @@
+"""One actor pool for all crawl state.
+
+The crawl keeps three kinds of state in long-lived actors, each split
+into logical shards:
+
+* the page store (:mod:`.store`) — store shard j owns the fetch-index
+  buckets b with ``b % n_store == j``;
+* the seen filter (:mod:`.seen`) — seen shard j owns
+  ``url_hash % n_seen == j``;
+* the politeness cutoffs (:mod:`.politeness`) — cutoff shard j owns the
+  hosts with ``hash(host) % n_cutoff == j``.
+
+The role code is plain classes. One pool of
+``max(n_store, n_seen, n_cutoff)`` :class:`StateShard` actors runs them:
+actor j hosts whichever of store shard j, seen shard j and cutoff shard
+j exist. Routing stays on the logical shard ids, so outputs, lineage
+digests and resume are the same as with one process per shard.
+
+Why one pool: spawning the actor processes is what crawl set-up costs.
+Ray starts as many worker processes at a time as the session has CPUs,
+each taking seconds. On crawl-polite's config in a 2-CPU session
+(BASELINE.md), three per-role pools of 4 + 2 + 2 processes prepared in
+7.8 s (6.3 s when all were created before any wait), the same roles in
+4 shared processes in 4.2 s, with 567 MB less actor memory.
+
+The actor forwards each role method under the role method's own name.
+Three names are defined by more than one role; on the actor they are
+``health(role)``, ``store_count`` / ``seen_count`` and
+``seen_consume_fresh`` / ``cutoff_consume_fresh``.
+
+A restart restarts every role in the process, and each recovers on its
+own: the store re-reads the immutable fetch index, the seen shard
+restores its newest complete npz dump and raises ``fresh`` (healed by
+``CrawlPipeline._heal_seen``), the cutoff shard raises ``fresh`` so the
+driver drops the round's offers and backfills them. No constructor
+argument lives in the object store, so a restart never depends on an
+object that may be gone.
+"""
+
+from __future__ import annotations
+
+import os
+
+import ray
+
+# actor method → (role, role method)
+_FORWARD = {
+    "fetch_packed": ("store", "fetch_packed"),
+    "load_files": ("store", "load_files"),
+    "store_count": ("store", "count"),
+    "check_and_insert": ("seen", "check_and_insert"),
+    "contains": ("seen", "contains"),
+    "digest": ("seen", "digest"),
+    "dump_npz": ("seen", "dump_npz"),
+    "load_npz": ("seen", "load_npz"),
+    "end_round": ("seen", "end_round"),
+    "seen_count": ("seen", "items"),
+    "seen_consume_fresh": ("seen", "consume_fresh"),
+    "offer": ("cutoff", "offer"),
+    "note_errors": ("cutoff", "note_errors"),
+    "report_lineage": ("cutoff", "report_lineage"),
+    "collect_lineage": ("cutoff", "collect_lineage"),
+    "set_errors": ("cutoff", "set_errors"),
+    "drop_round": ("cutoff", "drop_round"),
+    "finalize_round": ("cutoff", "finalize_round"),
+    "pull_cutoffs": ("cutoff", "pull_cutoffs"),
+    "fetch_ready": ("cutoff", "fetch_ready"),
+    "reset": ("cutoff", "reset"),
+    "cutoff_consume_fresh": ("cutoff", "consume_fresh"),
+}
+
+
+def _role_classes() -> dict:
+    from .politeness import CutoffShard
+    from .seen import SeenShard
+    from .store import PageStoreShard
+
+    return {"store": PageStoreShard, "seen": SeenShard, "cutoff": CutoffShard}
+
+
+class StateShard:
+    """Actor j of the pool: hosts role r's shard j for every role r
+    with more than j shards. ``roles``: role → (n_shards, constructor
+    kwargs of the role class)."""
+
+    def __init__(self, shard_id: int, roles: dict):
+        classes = _role_classes()
+        self.roles = {
+            name: classes[name](shard_id, **kw)
+            for name, (n, kw) in roles.items()
+            if shard_id < n
+        }
+
+    def health(self, role: str | None = None) -> dict:
+        """SystemHealth analog (crawler_metrics.go:46-68): has this
+        process been restarted, its CPU seconds and resident memory —
+        shared by every role it hosts — and, for ``role``, that role's
+        state size under ``items``."""
+        from .resources import actor_restarted, proc_rss_kb
+
+        tm = os.times()
+        out = {"reconstructed": actor_restarted(),
+               "cpu_s": float(tm.user + tm.system),
+               "rss_kb": proc_rss_kb(), "pid": os.getpid()}
+        if role is not None:
+            out["items"] = int(self.roles[role].items())
+        return out
+
+
+def _forwarder(name: str, role: str, method: str):
+    def call(self, *args, **kwargs):
+        return getattr(self.roles[role], method)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# added before ray.remote, which reads the class's methods once
+for _name, (_role, _method) in _FORWARD.items():
+    setattr(StateShard, _name, _forwarder(_name, _role, _method))
+
+StateShard = ray.remote(num_cpus=0, max_restarts=2, max_task_retries=-1)(StateShard)
+
+
+class StatePool:
+    """Driver side of the pool: the facades declare the roles they host
+    (:meth:`host`), :meth:`start` spawns the actors once, :meth:`kill`
+    ends them once."""
+
+    def __init__(self):
+        self.roles: dict[str, tuple[int, dict]] = {}
+        self.handles: list = []
+
+    def host(self, role: str, n_shards: int, /, **kwargs) -> None:
+        self.roles[role] = (n_shards, kwargs)
+
+    def start(self) -> None:
+        from .resources import shard_cpu_reservation
+
+        n = max(n for n, _ in self.roles.values())
+        cpus = shard_cpu_reservation(n)
+        self.handles = [
+            StateShard.options(num_cpus=cpus).remote(j, self.roles)
+            for j in range(n)
+        ]
+
+    def kill(self) -> None:
+        for h in self.handles:
+            ray.kill(h)
+        self.handles = []
+
+
+class RoleFacade:
+    """Base of the driver-side facades (``ActorSeenSet``,
+    ``ActorPageStore``, ``CutoffPool``): ``handles[j]`` is the actor
+    hosting this role's shard j. Given a ``pool``, the facade adds its
+    role to it and the caller starts the pool; without one it spawns a
+    pool that runs only its own role."""
+
+    role: str
+    n_shards: int
+    pool: StatePool
+
+    def _host(self, pool: StatePool | None, n_shards: int, /, **kwargs) -> None:
+        self.n_shards = n_shards
+        self.pool = StatePool() if pool is None else pool
+        self.pool.host(self.role, n_shards, **kwargs)
+        if pool is None:
+            self.pool.start()
+
+    @property
+    def handles(self) -> list:
+        return self.pool.handles[:self.n_shards]
+
+    def health(self) -> list[dict]:
+        """Per shard: the hosting process's health, with this role's
+        state size under ``items``."""
+        return ray.get([h.health.remote(self.role) for h in self.handles])
+
+    def kill(self) -> None:
+        self.pool.kill()

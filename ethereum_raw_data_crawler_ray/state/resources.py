@@ -1,66 +1,57 @@
-"""Fractional CPU reservations for the state-serving actor pools.
+"""CPU reservation and process gauges of the state actor pool.
 
-Round 3 isolated the single-node scaling gap to ``num_cpus=0`` shard
-actors (store / seen / cutoff): they FREE-RIDE at low parallelism (the
-pool's real CPU rides on cores Ray didn't count) and compete with task
-slots at high parallelism.  Round 4 measured both remedies at sf0.1 /
-32 CPUs (BASELINE.md round-4 §):
+All crawl state (page store, seen filter, politeness cutoffs) runs in
+one pool of ``StateShard`` actors (state/pool.py). What a pool actor
+reserves in Ray's CPU ledger follows what was measured:
 
-- **Reservations on one box HURT**: reserving the pools' share
-  (~5.1 of 32 CPUs) cut task concurrency 32→26 and the crawl wall rose
-  40.1 s vs 32.1 s — exactly the lost-slot share.  The pools' real
-  usage (measured 2.5 avg cores via per-shard ``health()['cpu_s']``)
-  is absorbed by OS interleaving; pre-paying it with whole task slots
-  wastes them.
-- **Physical pinning fixes the free-ride**: the honest evidence for
-  two machine sizes is ``bench.py --scaling``'s CPU-affinity pinning
-  (each level confined to N cores, children inherit), not Ray-ledger
-  reservations — a ray.init(num_cpus=8) run otherwise spills actor and
-  library threads onto the 24 uncounted cores.
-
-So: on a SINGLE node the pools keep a token 0.01-CPU reservation
-(visible in the ledger, no slot displacement).  On a MULTI-node
-cluster the proportional reservation applies — there it is load
-bearing: it spreads shards across nodes instead of stacking them
-wherever ``num_cpus=0`` happens to land, and each node's task slots
-shrink by the share its resident shards actually consume.
+- **One node: 0 CPU.** A reservation on one box is taken out of the
+  task slots. Round 4 (BASELINE.md round-4 §, sf0.1, 32 CPUs) reserved
+  the pools' share (~5.1 of 32 CPUs): task concurrency fell 32→26 and
+  the crawl wall rose 40.1 s vs 32.1 s, the lost-slot share. The pools'
+  real use (2.5 avg cores, from per-shard ``health()['cpu_s']``) is
+  absorbed by OS interleaving. A 0.01-CPU token per shard was kept
+  after that, and it too displaced task slots at small CPU counts:
+  crawl-polite's 8 shards left a 1-CPU session 0.92 CPU, the 1.0-CPU
+  round task never scheduled and round 0 hung; at 2 CPUs only one round
+  task ran at a time. With 0-CPU shards a 1-CPU session crawls and a
+  2-CPU one runs two round tasks at once (BASELINE.md).
+- **Multi-node: a fraction of the cluster.** There the reservation is
+  load bearing: it spreads shards across nodes instead of stacking
+  them wherever a 0-CPU actor lands, and each node's task slots shrink
+  by the share its resident shards consume. The pool reserves
+  :data:`POOL_CPU_FRACTION` of the cluster's CPUs split over its
+  actors. This branch is unit-tested against a faked two-node ledger
+  only; no multi-node crawl has measured it.
 """
 
 from __future__ import annotations
 
-# pool → fraction of total cluster CPUs the pool reserves (multi-node);
-# ~2× the measured single-node average (seen 1.02 / store 0.88 /
-# cutoff 0.62 avg cores at 32 CPUs) for RPC burstiness headroom.
-DEFAULT_POOL_FRACTIONS = {
-    "store": 0.06,
-    "seen": 0.06,
-    "cutoff": 0.04,
-}
-
-_TOKEN = 0.01  # single-node: ledger-visible, displaces no task slot
+# share of the cluster's CPUs the whole state pool reserves on a
+# multi-node cluster: ~2× each role's measured single-node average
+# (seen 1.02 / store 0.88 / cutoff 0.62 avg cores at 32 CPUs → 0.06 +
+# 0.06 + 0.04 of the cluster) for RPC burstiness headroom
+POOL_CPU_FRACTION = 0.16
 
 
-def shard_cpu_reservation(pool: str, n_shards: int,
-                          fraction: float | None = None) -> float:
-    """Per-shard ``num_cpus`` for a pool of ``n_shards``.  Single node →
-    token reservation; multi-node → ``fraction`` of the cluster's CPUs
-    split across the pool, clamped to [0.01, 1.0] (a shard is a
-    single-threaded RPC server, never worth more than one core)."""
+def shard_cpu_reservation(n_shards: int) -> float:
+    """Per-actor ``num_cpus`` for a state pool of ``n_shards`` actors.
+    One node → 0; multi-node → :data:`POOL_CPU_FRACTION` of the
+    cluster's CPUs split across the pool, clamped to [0.01, 1.0] (a
+    shard is a single-threaded RPC server, never worth more than one
+    core)."""
     import ray
 
     if not ray.is_initialized():
-        return _TOKEN
+        return 0.0
     try:
         n_nodes = len([n for n in ray.nodes() if n.get("Alive", True)])
     except Exception:
         n_nodes = 1
     if n_nodes <= 1:
-        return _TOKEN
-    if fraction is None:
-        fraction = DEFAULT_POOL_FRACTIONS[pool]
+        return 0.0
     ncpu = float(ray.cluster_resources().get("CPU", 8))
-    per = fraction * ncpu / max(1, n_shards)
-    return round(min(1.0, max(_TOKEN, per)), 4)
+    per = POOL_CPU_FRACTION * ncpu / max(1, n_shards)
+    return round(min(1.0, max(0.01, per)), 4)
 
 
 def actor_restarted() -> bool:
@@ -87,7 +78,7 @@ def actor_restarted() -> bool:
 def proc_rss_kb() -> int:
     """Resident-set size of the calling process in KiB via /proc (no
     psutil in the environment) — the memory gauge next to ``cpu_s`` in
-    every shard's ``health()`` row (``crawler_metrics.go:18-43`` records
+    every pool actor's ``health()`` row (``crawler_metrics.go:18-43`` records
     runtime.MemStats alongside goroutine counts the same way).  0 where
     /proc is unavailable."""
     import os

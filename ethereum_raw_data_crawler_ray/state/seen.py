@@ -2,18 +2,21 @@
 
 The reference's dedup identity lives in MongoDB unique indexes probed
 before every write (``crawler_service.go:433-457``,
-``block_repository_impl.go:135-148``). Here it is a pool of Ray actors,
-each owning one :class:`~.cuckoo.CuckooFilter` shard; URLs route to the
-shard ``url_hash % n_shards`` so each URL has exactly one authority —
-an anti-join of candidates against crawl history with no shuffle of the
+``block_repository_impl.go:135-148``). Here it is the seen role of the
+crawl's state actor pool (state/pool.py): :class:`SeenShard` j owns one
+:class:`~.cuckoo.CuckooFilter` shard and runs in pool actor j next to
+that actor's page-store and cutoff shards. URLs route to the shard
+``url_hash % n_shards`` so each URL has exactly one authority — an
+anti-join of candidates against crawl history with no shuffle of the
 big side (SURVEY.md J5).
 
 Two interchangeable implementations share the routing logic:
 
 * :class:`LocalSeenSet` — plain in-process shards (golden single-threaded
   simulator + unit tests);
-* :class:`ActorSeenSet` — ``@ray.remote`` shard actors; handles are
-  serializable, so ``map_batches`` UDFs can probe shards from any worker.
+* :class:`ActorSeenSet` — the driver-side facade over the pool actors
+  hosting the seen shards; handles are serializable, so ``map_batches``
+  UDFs can probe shards from any worker.
 
 Per-round checkpointing: each shard dumps its table to
 ``seen/round=<r>/shard_<j>.npz`` and its sha256 digest goes into the
@@ -29,6 +32,7 @@ import numpy as np
 import ray
 
 from .cuckoo import CuckooFilter
+from .pool import RoleFacade, StatePool
 
 
 def shard_of(hashes: np.ndarray, n_shards: int) -> np.ndarray:
@@ -120,14 +124,9 @@ def _replay_claims(
     return novel
 
 
-@ray.remote(num_cpus=0, max_restarts=2, max_task_retries=-1)
 class SeenShard:
-    """One shard actor. The decorator default ``num_cpus=0`` is always
-    overridden at pool creation with a fractional reservation from
-    state/resources.py — the pool claims a fixed fraction of the
-    cluster, so its real CPU use is paid for proportionally at every
-    cluster size instead of free-riding (r03 verdict #2); the shard's
-    dominant footprint is still the filter table's memory.
+    """One seen shard — a role of the ``StateShard`` actor pool
+    (state/pool.py).
 
     Fault tolerance (the Ray-native analog of the reference's
     reconnect-on-failure loops, ``crawler_service.go:727-864``): on actor
@@ -183,16 +182,6 @@ class SeenShard:
         f, self._fresh = self._fresh, False
         return f, self._restored_round
 
-    def health(self) -> dict:
-        """SystemHealth analog (crawler_metrics.go:46-68): has this
-        shard ever been reconstructed, and how much state does it hold."""
-        from .resources import actor_restarted, proc_rss_kb
-
-        tm = os.times()
-        return {"reconstructed": actor_restarted(), "items": int(self.filter.count),
-                "cpu_s": float(tm.user + tm.system),
-                "rss_kb": proc_rss_kb()}
-
     def check_and_insert(
         self, hashes: np.ndarray, round_no: int | None = None, token: int | None = None
     ) -> np.ndarray:
@@ -209,7 +198,7 @@ class SeenShard:
     def digest(self) -> bytes:
         return self.filter.digest()
 
-    def count(self) -> int:
+    def items(self) -> int:
         return self.filter.count
 
     def dump_npz(self, path: str) -> bytes:
@@ -230,32 +219,24 @@ class SeenShard:
         return self.filter.digest()
 
 
-class ActorSeenSet:
-    """Driver-side bundle of shard actor handles."""
+class ActorSeenSet(RoleFacade):
+    """Driver-side facade over the seen role's actor handles."""
+
+    role = "seen"
 
     def __init__(self, n_shards: int, capacity_per_shard: int,
-                 ckpt_root: str | None = None,
-                 num_cpus_each: float | None = None):
-        from .resources import shard_cpu_reservation
-
-        if num_cpus_each is None:
-            num_cpus_each = shard_cpu_reservation("seen", n_shards)
-        self.n_shards = n_shards
-        self.handles = [
-            SeenShard.options(num_cpus=num_cpus_each).remote(
-                j, capacity_per_shard, ckpt_root
-            )
-            for j in range(n_shards)
-        ]
+                 ckpt_root: str | None = None, pool: StatePool | None = None):
+        self._host(pool, n_shards, capacity=capacity_per_shard, ckpt_root=ckpt_root)
 
     def check_and_insert(self, hashes: np.ndarray) -> np.ndarray:
         sid = shard_of(hashes, self.n_shards)
         out = np.zeros(len(hashes), dtype=bool)
         refs, ixs = [], []
+        handles = self.handles
         for j in range(self.n_shards):
             ix = np.flatnonzero(sid == j)
             if ix.size:
-                refs.append(self.handles[j].check_and_insert.remote(hashes[ix]))
+                refs.append(handles[j].check_and_insert.remote(hashes[ix]))
                 ixs.append(ix)
         for ix, res in zip(ixs, ray.get(refs)):
             out[ix] = res
@@ -265,10 +246,11 @@ class ActorSeenSet:
         sid = shard_of(hashes, self.n_shards)
         out = np.zeros(len(hashes), dtype=bool)
         refs, ixs = [], []
+        handles = self.handles
         for j in range(self.n_shards):
             ix = np.flatnonzero(sid == j)
             if ix.size:
-                refs.append(self.handles[j].contains.remote(hashes[ix]))
+                refs.append(handles[j].contains.remote(hashes[ix]))
                 ixs.append(ix)
         for ix, res in zip(ixs, ray.get(refs)):
             out[ix] = res
@@ -278,26 +260,23 @@ class ActorSeenSet:
         return ray.get([h.digest.remote() for h in self.handles])
 
     def counts(self) -> list[int]:
-        return ray.get([h.count.remote() for h in self.handles])
+        return ray.get([h.seen_count.remote() for h in self.handles])
 
     def consume_fresh(self) -> list[tuple[bool, int]]:
         """Per shard: (restarted since last check, restored dump round)."""
-        return ray.get([h.consume_fresh.remote() for h in self.handles])
-
-    def health(self) -> list[dict]:
-        return ray.get([h.health.remote() for h in self.handles])
+        return ray.get([h.seen_consume_fresh.remote() for h in self.handles])
 
     def insert_to_shards(self, shard_ids: list[int], hashes: np.ndarray) -> None:
         """Route ``hashes`` by owner and re-insert into the GIVEN shards
         only (gap-round claim replay after a shard restart; inserting an
         existing member is a no-op, so over-replay is safe)."""
-        want = set(shard_ids)
         sid = shard_of(hashes, self.n_shards)
+        handles = self.handles
         refs = []
         for j in shard_ids:
             ix = np.flatnonzero(sid == j)
-            if ix.size and j in want:
-                refs.append(self.handles[j].check_and_insert.remote(hashes[ix]))
+            if ix.size:
+                refs.append(handles[j].check_and_insert.remote(hashes[ix]))
         ray.get(refs)
 
     def save(self, dirpath: str) -> list[bytes]:
@@ -321,11 +300,6 @@ class ActorSeenSet:
         """Drop claim logs for rounds ≤ upto_round (their executions are
         committed; no further task retries can arrive)."""
         ray.get([h.end_round.remote(upto_round) for h in self.handles])
-
-    def kill(self) -> None:
-        for h in self.handles:
-            ray.kill(h)
-        self.handles = []
 
 
 def claim_scatter_submit(

@@ -1,9 +1,11 @@
-"""Sharded page-store actors — the simulated content store / KV service.
+"""Sharded page store — the simulated content store / KV service.
 
 The reference fetches payloads over the network per work unit
-(``ethereum_service.go:142-185``); the sandbox replacement is a pool of
-long-lived actors, each owning one hash range of the pages corpus
-(``url_hash % n_shards``). A fetch is a scatter-gather of point lookups
+(``ethereum_service.go:142-185``); the sandbox replacement is the page-store
+role of the crawl's state actor pool (state/pool.py): store shard j owns
+the fetch-index buckets ``b % n_shards == j`` (one hash range of the
+pages corpus) and runs in pool actor j, next to that actor's seen and
+cutoff shards. A fetch is a scatter-gather of point lookups
 — O(batch) per batch, never O(corpus) — which is the honest shape of a
 distributed content store and keeps per-round cost proportional to the
 round. It is the crawl's only fetch path: every round task looks its
@@ -37,11 +39,12 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.hashing import hash_strings
+from .pool import RoleFacade, StatePool
 
 
-@ray.remote(num_cpus=0, max_restarts=2, max_task_retries=-1)
 class PageStoreShard:
-    """Owns the pages whose url_hash % n_shards == shard_id.
+    """Owns the pages whose url_hash % n_shards == shard_id — a role of
+    the ``StateShard`` actor pool (state/pool.py).
 
     Restart-safe for free: the constructor re-reads the (immutable)
     fetch index, so a restarted shard is bit-identical and in-flight
@@ -49,8 +52,8 @@ class PageStoreShard:
     Ray-native analog of the reference's reconnect-all health check
     (crawler_service.go:855-861)."""
 
-    def __init__(self, index_dir: str, n_buckets: int, n_shards: int,
-                 shard_id: int, mode: str = "preload", lru_groups: int = 64):
+    def __init__(self, shard_id: int, index_dir: str, n_buckets: int,
+                 n_shards: int, mode: str = "preload", lru_groups: int = 64):
         self.mode = mode
         self.store: dict[str, tuple[int, bytes, str]] = {}
         # lazy-mode state: sorted url_hash array + parallel (file_id,
@@ -169,10 +172,6 @@ class PageStoreShard:
                 out[i] = grp.get(urls[i])
         return out
 
-    def fetch(self, urls: list[str]):
-        """Point lookups; None marks a miss (404 analog)."""
-        return self._get_many(urls)
-
     def fetch_packed(self, urls: list[str]):
         """Batched lookup with ONE concatenated payload buffer — Ray
         zero-copies large buffers, while a list of thousands of small
@@ -189,45 +188,32 @@ class PageStoreShard:
         buf = b"".join(m[1] for m in metas if m is not None and len(m[1]))
         return found, ts, langs, offs, buf
 
-    def health(self) -> dict:
-        """SystemHealth analog (crawler_metrics.go:46-68)."""
-        from .resources import actor_restarted, proc_rss_kb
-
-        n = len(self.store) if self.mode == "preload" else self._n_pages
-        tm = os.times()
-        return {"reconstructed": actor_restarted(), "items": int(n),
-                "cpu_s": float(tm.user + tm.system),
-                "rss_kb": proc_rss_kb()}
+    def items(self) -> int:
+        """Pages held, for the health row (distinct urls in preload)."""
+        return len(self.store) if self.mode == "preload" else self._n_pages
 
     def count(self) -> int:
         return self._n_pages
 
 
-class ActorPageStore:
-    """Driver-side bundle; handles serialize into fetch-stage closures."""
+class ActorPageStore(RoleFacade):
+    """Driver-side facade over the page-store role's actor handles;
+    handles serialize into fetch-stage closures."""
+
+    role = "store"
 
     def __init__(self, index_dir: str, n_buckets: int, n_shards: int,
                  mode: str = "preload", lru_groups: int = 64,
-                 num_cpus_each: float | None = None):
-        from .resources import shard_cpu_reservation
-
+                 pool: StatePool | None = None):
         if n_buckets % n_shards != 0:
             raise ValueError("n_buckets must be a multiple of n_store_shards")
-        if num_cpus_each is None:
-            num_cpus_each = shard_cpu_reservation("store", n_shards)
-        self.n_shards = n_shards
-        self.handles = [
-            PageStoreShard.options(num_cpus=num_cpus_each).remote(
-                index_dir, n_buckets, n_shards, j, mode, lru_groups
-            )
-            for j in range(n_shards)
-        ]
-
-    def health(self) -> list[dict]:
-        return ray.get([h.health.remote() for h in self.handles])
+        self._host(pool, n_shards, index_dir=index_dir,
+                   n_buckets=n_buckets, n_shards=n_shards, mode=mode,
+                   lru_groups=lru_groups)
 
     def wait_ready(self) -> int:
-        return sum(ray.get([h.count.remote() for h in self.handles]))
+        """Block until every store shard has loaded its index; → pages."""
+        return sum(ray.get([h.store_count.remote() for h in self.handles]))
 
     def load_new_files(self, files_by_bucket: dict[int, list[str]]) -> int:
         """Route newly written per-bucket index files to their owning
@@ -235,16 +221,9 @@ class ActorPageStore:
         per_shard: dict[int, list[str]] = {}
         for b, paths in files_by_bucket.items():
             per_shard.setdefault(b % self.n_shards, []).extend(paths)
-        refs = [
-            self.handles[j].load_files.remote(paths)
-            for j, paths in per_shard.items()
-        ]
+        handles = self.handles
+        refs = [handles[j].load_files.remote(paths) for j, paths in per_shard.items()]
         return sum(ray.get(refs)) if refs else 0
-
-    def kill(self) -> None:
-        for h in self.handles:
-            ray.kill(h)
-        self.handles = []
 
 
 def fetch_scatter(handles: list, urls: np.ndarray, hashes: np.ndarray) -> list:

@@ -427,6 +427,144 @@ class TestActorFaultTolerance:
         pipe.close()
 
 
+class TestStatePool:
+    """The store, seen and cutoff roles share one actor pool: actor j
+    hosts store, seen and cutoff shard j (state/pool.py)."""
+
+    @pytest.fixture(scope="class")
+    def pool_run(self, corpus_dir, ray_session):
+        # prepare, record the processes behind every facade's handles,
+        # then crawl with ONE kill of the actor hosting shard 2 of all
+        # three roles
+        import ray
+
+        cfg = make_cfg(corpus_dir, "pool_kill")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        pipe.prepare()
+        facades = (pipe.seen, pipe.store, pipe.cutoff_pool)
+        n_handles = sum(len(f.handles) for f in facades)
+        pids = {
+            ray.get(h.health.remote())["pid"] for f in facades for h in f.handles
+        }
+        pipe.bootstrap(pq.read_table(corpus_dir + "/seeds.parquet"))
+        pipe._backfill_offers(0)
+        victim = pipe.store.handles[2]
+        r = 0
+        while r < 60 and pipe._frontier_count(r) > 0:
+            stats = pipe.run_round(r)
+            if r == 1:
+                ray.kill(victim, no_restart=False)
+                # the kill is delivered out-of-band: wait for the restart
+                # so it is detected at a round boundary
+                for _ in range(600):
+                    if ray.get(victim.health.remote())["reconstructed"]:
+                        break
+                    time.sleep(0.05)
+                else:
+                    raise AssertionError("pool actor never reconstructed")
+            r += 1
+            if stats["next_frontier"] == 0:
+                break
+        pipe._join_bg()
+        pipe.close()
+        return cfg, n_handles, pids
+
+    def test_prepare_spawns_one_process_per_pool_actor(self, pool_run):
+        # 4 seen + 8 store + 8 cutoff shards: 20 handles, max(4, 8, 8)
+        # processes (one per role shard before the shared pool)
+        _, n_handles, pids = pool_run
+        assert n_handles == 20
+        assert len(pids) == 8
+
+    def test_one_kill_reconstructs_every_cohosted_role(self, pool_run, crawl_run):
+        cfg, _, _ = pool_run
+        cfg_main, _, _ = crawl_run
+        h = health_output(cfg.out_dir).to_pandas()
+        rec = h[h["reconstructed"]]
+        assert set(zip(rec["component"], rec["shard_id"])) == {
+            ("seen", 2), ("store", 2), ("cutoff", 2)
+        }
+        # round 1's health rows are written after the kill that follows it
+        assert rec["round"].min() >= 1
+        a = _rounds_df(cfg_main.out_dir).sort_values("url").reset_index(drop=True)
+        b = _rounds_df(cfg.out_dir).sort_values("url").reset_index(drop=True)
+        cols = ["url", "text", "round", "depth"]
+        pd.testing.assert_frame_equal(a[cols], b[cols])
+        la = lineage_output(cfg_main.out_dir).to_pandas().sort_values(
+            ["round", "partition_id"]).reset_index(drop=True)
+        lb = lineage_output(cfg.out_dir).to_pandas().sort_values(
+            ["round", "partition_id"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            la.drop(columns=["wall_s"]), lb.drop(columns=["wall_s"])
+        )
+
+
+_ONE_CPU_CRAWL = """
+import json, os, sys
+sys.path.insert(0, os.getcwd())
+import ray
+from ethereum_raw_data_crawler_ray.logquiet import logging_env
+from ethereum_raw_data_crawler_ray.pipelines.crawl import CrawlPipeline
+from tests.test_crawl import make_cfg
+
+os.environ.update(logging_env())
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", runtime_env={"env_vars": logging_env()})
+cfg = make_cfg(sys.argv[1], "cpu1")
+# 4 pool actors (4 seen shards), not 8: spawn is serial at 1 CPU
+cfg.extra.update(n_store_shards=2, n_cutoff_actors=2)
+pipe = CrawlPipeline(cfg)
+totals = pipe.run(max_rounds=60)
+counts = pipe.seen.counts()
+pipe.close()
+ray.shutdown()
+print("RESULT " + json.dumps({"totals": totals, "seen_counts": counts}))
+"""
+
+
+class TestOneCpuSession:
+    def test_crawl_under_one_cpu_matches_golden(self, corpus_dir, golden_run):
+        # a 1-CPU Ray session: the state pool reserves 0 CPU on one node,
+        # so the 1-CPU round task schedules. Own session in a subprocess,
+        # in its own process group so a hang leaves no raylet/GCS behind.
+        import json
+        import signal
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out_dir = make_cfg(corpus_dir, "cpu1").out_dir
+        shutil.rmtree(out_dir, ignore_errors=True)
+        env = {**os.environ, "PYTHONPATH": repo}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ONE_CPU_CRAWL, corpus_dir], cwd=repo,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            out = None
+        finally:
+            for _ in range(100):  # until no process of the group is left
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.1)
+        if out is None:
+            pytest.fail("crawl under a 1-CPU Ray session did not finish in 300 s")
+        assert proc.returncode == 0, out[-3000:]
+        res = json.loads(out.split("RESULT ", 1)[1])
+        assert res["seen_counts"] == golden_run["seen_counts"]
+        df = _rounds_df(out_dir)
+        eng = {u: t for u, t in zip(df["url"], df["text"])}
+        assert eng == {u: p["text"] for u, p in golden_run["pages"].items()}
+
+
 class TestBalancedItems:
     def test_packing_complete_disjoint_capped(self):
         # the shuffle-free replacement for repartition(ntasks): spans
@@ -1092,8 +1230,8 @@ class TestCutoffPullTransport:
             }
         )
         robots_ref = _ray.put({})
-        pool = CutoffPool(4, robots_ref, round_ms=1000,
-                          default_delay_ms=0, max_per_host=1, n_salt=1)
+        pool = CutoffPool(4, None, round_ms=1000,
+                          default_delay_ms=0, max_per_host=1)
         try:
             from ethereum_raw_data_crawler_ray.state.politeness import (
                 offer_candidates,

@@ -261,3 +261,41 @@ class TestActorRestarted:
         assert restarted is False
         assert warned == []
         assert actor_restarted() is False  # the driver is not an actor
+
+
+class TestShardReservation:
+    """What a state-pool actor reserves in Ray's CPU ledger
+    (state/resources.py): nothing on one node, the pool's merged share of
+    the cluster split over its actors on several."""
+
+    @staticmethod
+    def _fake_cluster(monkeypatch, alive: list[bool], cpus: float) -> None:
+        import ray
+
+        monkeypatch.setattr(ray, "nodes", lambda: [{"Alive": a} for a in alive])
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+
+    def test_one_node_reserves_nothing(self, monkeypatch, ray_session):
+        from ethereum_raw_data_crawler_ray.state.resources import shard_cpu_reservation
+
+        assert shard_cpu_reservation(8) == 0.0  # the live test session
+        self._fake_cluster(monkeypatch, [True, False], 64.0)
+        assert shard_cpu_reservation(8) == 0.0
+
+    def test_two_nodes_split_merged_fraction(self, monkeypatch, ray_session):
+        from ethereum_raw_data_crawler_ray.state.resources import (
+            POOL_CPU_FRACTION,
+            shard_cpu_reservation,
+        )
+
+        # one merged share for the three roles the pool hosts
+        assert POOL_CPU_FRACTION == pytest.approx(0.06 + 0.06 + 0.04)
+        for cpus, n, want in [
+            (16.0, 8, 0.32),   # 0.16 × 16 / 8
+            (64.0, 8, 1.0),    # 1.28 clamps to one core
+            (2.0, 64, 0.01),   # 0.005 clamps to the floor
+        ]:
+            self._fake_cluster(monkeypatch, [True, True], cpus)
+            got = shard_cpu_reservation(n)
+            assert got == pytest.approx(want)
+            assert got == round(min(1.0, max(0.01, POOL_CPU_FRACTION * cpus / n)), 4)
