@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .hashing import mix64
+
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # BPE-ish pre-tokenizer: word pieces OR single non-space symbols
 _BPE_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -80,16 +82,6 @@ def fingerprint64(text: str) -> int:
     return h
 
 
-def _mix64(h: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (public constant-set) — used to
-    spread polynomial rolling hashes across the 64-bit space."""
-    h = h.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return h ^ (h >> np.uint64(31))
-
-
 def _token_hashes(text: str) -> np.ndarray:
     import pandas as pd
 
@@ -127,7 +119,7 @@ def _rolling_poly(vals: np.ndarray, k: int) -> np.ndarray:
         for j in range(k - 1, -1, -1):
             h += vals[j : j + n] * pw
             pw = pw * _POLY_BASE
-    return _mix64(h)
+    return mix64(h)
 
 
 def word_shingles(text: str, k: int = 3) -> np.ndarray:
@@ -222,12 +214,12 @@ def lsh_band_keys(sig: np.ndarray, n_bands: int = 16) -> np.ndarray:
     rows = sig.shape[1] // n_bands
     bands = sig[:, : rows * n_bands].reshape(sig.shape[0], n_bands, rows)
     with np.errstate(over="ignore"):
-        keys = _mix64(
+        keys = mix64(
             np.arange(n_bands, dtype=np.uint64)[None, :]
             ^ np.uint64(0x9E3779B97F4A7C15)
         ) * np.ones((sig.shape[0], 1), dtype=np.uint64)
         for c in range(rows):
-            keys = _mix64(keys ^ bands[:, :, c])
+            keys = mix64(keys ^ bands[:, :, c])
     return keys[0] if one else keys
 
 

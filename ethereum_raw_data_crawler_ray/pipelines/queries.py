@@ -32,19 +32,11 @@ from ..functions.textstats import (
     token_count_simple,
 )
 from ..stages import ann, dedup, multimodal
+from ..stages.joins import _pool, exchange
 
 
 def _t(sf_dir: str, name: str, columns: list[str] | None = None) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, f"{name}.parquet"), columns=columns)
-
-
-def _pool() -> tuple[int, int]:
-    """Actor-pool autoscale bounds sized from the cluster (round 1 hard-
-    capped several stages at 4 actors, starving a 32-CPU box)."""
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (1, max(4, ncpu))
 
 
 def _dense_lookup(keys: pd.Series, values: pd.Series) -> np.ndarray:
@@ -714,23 +706,15 @@ def q31_window_tumbling(sf_dir: str):
     so the reduce is hash-BUCKETED (~2×CPU groups, pandas C-kernel
     groupby inside) rather than ``groupby([user, win]).aggregate`` —
     Ray's sort aggregate pays per-KEY overhead there."""
-    from ..stages.joins import _default_buckets
-
-    n_buckets = _default_buckets()
 
     def win(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         uid = np.asarray(t["user_id"].to_pandas(), dtype=np.int64)
-        w = us // 3_600_000_000
-        mixed = uid.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ w.view(np.uint64)
         return pa.table(
             {
                 "user_id": pa.array(uid, type=pa.int64()),
-                "win": pa.array(w, type=pa.int64()),
+                "win": pa.array(us // 3_600_000_000, type=pa.int64()),
                 "value": t["value"],
-                "__bucket": pa.array(
-                    (mixed % np.uint64(n_buckets)).astype(np.int64)
-                ),
             }
         )
 
@@ -743,11 +727,10 @@ def q31_window_tumbling(sf_dir: str):
         agg["sum_value"] = agg["sum_value"].round(6)
         return agg.astype({"user_id": np.int64, "win": np.int64, "n": np.int64})
 
-    return (
+    return exchange(
         _t(sf_dir, "events", ["user_id", "ts", "value"])
-        .map_batches(win, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        .map_batches(win, batch_format="pyarrow"),
+        ["user_id", "win"], reduce_bucket,
     )
 
 
@@ -756,10 +739,8 @@ def q32_sessionize(sf_dir: str):
     shape, bucketed like q31 (users are singleton-dominated at scale):
     one hash-bucket exchange, then a vectorized sort + diff + groupby
     per bucket (no per-user pandas apply)."""
-    from ..stages.joins import _default_buckets
 
     GAP_US = 30 * 60 * 1_000_000
-    n_buckets = _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -772,9 +753,6 @@ def q32_sessionize(sf_dir: str):
                     pc.cast(t["ts"], pa.timestamp("us")), pa.int64()
                 ).combine_chunks(),
                 "event_id": t["event_id"],
-                "__bucket": pa.array(
-                    (uid.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-                ),
             }
         )
 
@@ -795,11 +773,10 @@ def q32_sessionize(sf_dir: str):
             }
         )
 
-    return (
+    return exchange(
         _t(sf_dir, "events", ["user_id", "ts", "event_id"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(sessions_bucket, batch_format="pandas")
+        .map_batches(tag, batch_format="pyarrow"),
+        "user_id", sessions_bucket,
     )
 
 

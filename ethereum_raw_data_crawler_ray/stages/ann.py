@@ -25,20 +25,14 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from ..functions.hashing import mix64
+from .joins import _pool
+
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return mat / norms
-
-
-def _pool() -> tuple[int, int]:
-    """Actor-pool bounds sized from the cluster (round 1's fixed (1,4)
-    cap starved 32-CPU runs)."""
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (1, max(4, ncpu))
 
 
 def hash_sample(ds: rd.Dataset, id_col: str, n_target: int, seed: int) -> "pd.DataFrame":
@@ -48,7 +42,6 @@ def hash_sample(ds: rd.Dataset, id_col: str, n_target: int, seed: int) -> "pd.Da
     a sorted/clustered corpus trains biased centroids."""
     import pandas as pd
 
-    from ..functions.textstats import _mix64
 
     n = ds.count()
     if n <= n_target:
@@ -59,7 +52,7 @@ def hash_sample(ds: rd.Dataset, id_col: str, n_target: int, seed: int) -> "pd.Da
 
     def keep(t: pa.Table) -> pa.Table:
         ids = np.asarray(t[id_col].to_pandas(), dtype=np.uint64)
-        m = (_mix64(ids ^ sd) >> np.uint64(1)).astype(np.int64) < thresh
+        m = (mix64(ids ^ sd) >> np.uint64(1)).astype(np.int64) < thresh
         return t.filter(pa.array(m))
 
     # NO trailing limit(): a limit would truncate in dataset order and

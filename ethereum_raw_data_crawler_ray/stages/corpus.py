@@ -48,6 +48,7 @@ import ray.data as rd
 
 from ..functions.broadcast import get_broadcast
 from ..functions.hashing import hash_strings
+from .joins import exchange
 
 __all__ = [
     "inverted_index",
@@ -96,14 +97,6 @@ def _per_doc_tf(t: pa.Table, text_col: str, id_col: str) -> pd.DataFrame:
 # --------------------------------------------------------------------------
 # inverted index (vocabulary statistics)
 # --------------------------------------------------------------------------
-def _token_bucket(tokens: pd.Series, n_buckets: int) -> np.ndarray:
-    h = hash_strings(pa.array(tokens, type=pa.string()))
-    return (h % np.uint64(n_buckets)).astype(np.int64)
-
-
-from .joins import _default_buckets  # shared ~2×CPU (floor 16) policy
-
-
 def inverted_index(ds: rd.Dataset, text_col: str = "text",
                    id_col: str = "doc_id",
                    n_buckets: int | None = None) -> rd.Dataset:
@@ -119,7 +112,6 @@ def inverted_index(ds: rd.Dataset, text_col: str = "text",
     aggregate pays per-KEY overhead there, while the per-bucket cost is
     per-ROW.
     """
-    n_buckets = n_buckets or _default_buckets()
 
     def stage(t: pa.Table) -> pa.Table:
         per = _per_doc_tf(t, text_col, id_col)
@@ -127,8 +119,6 @@ def inverted_index(ds: rd.Dataset, text_col: str = "text",
             {
                 "token": pa.array(per["token"], type=pa.string()),
                 "tf_doc": pa.array(per["tf"].to_numpy(np.int64), type=pa.int64()),
-                "bucket": pa.array(_token_bucket(per["token"], n_buckets),
-                                   type=pa.int64()),
             }
         )
 
@@ -140,11 +130,8 @@ def inverted_index(ds: rd.Dataset, text_col: str = "text",
         )
         return agg.astype({"df": np.int64, "tf": np.int64})
 
-    return (
-        ds.map_batches(stage, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(stage, batch_format="pyarrow"), "token",
+                    reduce_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -241,9 +228,7 @@ def _tfidf_topk_shuffle(ds: rd.Dataset, idx: rd.Dataset, text_col: str,
     because every tf token is by construction in the vocabulary), then
     a doc-keyed bucket exchange for the per-doc top-k.  Same float
     expression as the broadcast path ⇒ bit-identical output."""
-    from .joins import _bucket_of, hash_join
-
-    n_buckets = n_buckets or _default_buckets()
+    from .joins import hash_join
 
     def tf_stage(t: pa.Table) -> pa.Table:
         per = _per_doc_tf(t, text_col, id_col)
@@ -269,7 +254,7 @@ def _tfidf_topk_shuffle(ds: rd.Dataset, idx: rd.Dataset, text_col: str,
         n_buckets=n_buckets,
     )
 
-    def score_and_bucket(t: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> pa.Table:
         doc = np.asarray(t["doc_id"].to_pandas(), dtype=np.int64)
         tf = np.asarray(t["tf"].to_pandas(), dtype=np.int64)
         dfv = np.asarray(t["df"].to_pandas(), dtype=np.int64)
@@ -281,7 +266,6 @@ def _tfidf_topk_shuffle(ds: rd.Dataset, idx: rd.Dataset, text_col: str,
                 "tf": pa.array(tf, type=pa.int64()),
                 "df": pa.array(dfv, type=pa.int64()),
                 "score": pa.array(score, type=pa.float64()),
-                "__bucket": pa.array(_bucket_of(doc, n_buckets)),
             }
         )
 
@@ -301,11 +285,8 @@ def _tfidf_topk_shuffle(ds: rd.Dataset, idx: rd.Dataset, text_col: str,
             }
         )
 
-    return (
-        joined.map_batches(score_and_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(topk_bucket, batch_format="pandas")
-    )
+    return exchange(joined.map_batches(score, batch_format="pyarrow"),
+                    "doc_id", topk_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -382,9 +363,6 @@ def top_bigrams(ds: rd.Dataset, text_col: str = "text",
     the oracle's ORDER BY … LIMIT k.
 
     Returns a k-row (bigram, cnt) DataFrame sorted count-desc."""
-    from ..functions.hashing import hash_strings
-
-    n_buckets = n_buckets or _default_buckets()
 
     def bigram_counts(t: pa.Table) -> pa.Table:
         occ = _explode_tokens(t, text_col, id_col)
@@ -403,23 +381,14 @@ def top_bigrams(ds: rd.Dataset, text_col: str = "text",
         return pa.table({"bigram": pa.array(bg, type=pa.string()),
                          "cnt": pa.array(bc.astype(np.int64))})
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (hash_strings(t["bigram"]) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("bucket", pa.array(b, type=pa.int64()))
-
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("bigram", sort=False)["cnt"].sum().reset_index()
         agg = agg.sort_values(["cnt", "bigram"],
                               ascending=[False, True], kind="mergesort")
         return agg.head(k).astype({"cnt": np.int64})
 
-    cands = (
-        ds.map_batches(bigram_counts, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(topk_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    cands = exchange(ds.map_batches(bigram_counts, batch_format="pyarrow"),
+                     "bigram", topk_bucket, n_buckets=n_buckets).to_pandas()
     if not len(cands):
         return pd.DataFrame({"bigram": pd.Series(dtype=object),
                              "cnt": pd.Series(dtype=np.int64)})
@@ -444,8 +413,6 @@ def clean_corpus(ds: rd.Dataset, text_col: str = "text",
 
     Returns a (doc_id, n_words) Dataset of kept documents."""
     from ray.data.aggregate import Min
-
-    from ..functions.hashing import hash_strings
 
     def flt(t: pa.Table) -> pa.Table:
         from collections import Counter
@@ -504,15 +471,8 @@ def gram_novelty(ds: rd.Dataset, text_col: str = "text",
     Returns (doc_id, n_grams, n_unique, novelty) streaming."""
     from ray.data.aggregate import Sum
 
-    n_buckets = n_buckets or _default_buckets()
-
     def rows(t: pa.Table) -> pa.Table:
         return _gram_rows(t, text_col, id_col, k)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (np.asarray(t["gram"]).view(np.uint64)
-             % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("bucket", pa.array(b, type=pa.int64()))
 
     def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -528,10 +488,8 @@ def gram_novelty(ds: rd.Dataset, text_col: str = "text",
                          "u_part": np.int64})
 
     agg = (
-        ds.map_batches(rows, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_partials, batch_format="pandas")
+        exchange(ds.map_batches(rows, batch_format="pyarrow"), "gram",
+                 bucket_partials, n_buckets=n_buckets)
         .groupby("doc_id")
         .aggregate(Sum("n_part", alias_name="n_grams"),
                    Sum("u_part", alias_name="n_unique"))
@@ -566,7 +524,6 @@ def _gram_rows(t: pa.Table, text_col: str, id_col: str, k: int) -> pa.Table:
     which the kernel-parity test pins). Documents with < k tokens are
     excluded (no k-gram exists) — the oracle's ``len(w) >= k`` filter.
     n_grams rides on every row so the pair stage needs no side lookup."""
-    from ..functions.hashing import hash_strings
     from ..functions.textstats import _rolling_poly
 
     texts = t[text_col].to_pylist()
@@ -670,23 +627,9 @@ def jaccard_ngram_pairs(ds: rd.Dataset, text_col: str = "text",
     hash (functions/textstats.word_gram_hash_set); a cross-document
     collision would need ~2³² distinct grams to become likely.
     """
-    import ray
 
-    if n_buckets is None:
-        n_buckets = _default_buckets()
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        g = _gram_rows(t, text_col, id_col, k)
-        b = (np.asarray(g["gram"].to_pandas(), dtype=np.int64).view(np.uint64)
-             % np.uint64(n_buckets)).astype(np.int64)
-        return g.append_column("bucket", pa.array(b, type=pa.int64()))
-
-    def pair_bucketize(t: pa.Table) -> pa.Table:
-        a = np.asarray(t["id_a"].to_pandas(), dtype=np.int64).view(np.uint64)
-        b = np.asarray(t["id_b"].to_pandas(), dtype=np.int64).view(np.uint64)
-        mixed = a * np.uint64(0x9E3779B97F4A7C15) ^ b
-        pb = (mixed % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("pair_bucket", pa.array(pb, type=pa.int64()))
+    def rows(t: pa.Table) -> pa.Table:
+        return _gram_rows(t, text_col, id_col, k)
 
     def count_pairs(g: pd.DataFrame) -> pd.DataFrame:
         agg = (
@@ -708,15 +651,10 @@ def jaccard_ngram_pairs(ds: rd.Dataset, text_col: str = "text",
             }
         )
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lambda g: _posting_pairs(g, max_posting),
-                    batch_format="pandas")
-        .map_batches(pair_bucketize, batch_format="pyarrow")
-        .groupby("pair_bucket")
-        .map_groups(count_pairs, batch_format="pandas")
-    )
+    pairs = exchange(ds.map_batches(rows, batch_format="pyarrow"), "gram",
+                     lambda g: _posting_pairs(g, max_posting),
+                     n_buckets=n_buckets)
+    return exchange(pairs, ["id_a", "id_b"], count_pairs, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -779,23 +717,12 @@ def lm_score(train_ds: rd.Dataset, score_ds: rd.Dataset,
         return pa.table({"gram": pa.array(grams, type=pa.string()),
                          "n": pa.array(counts, type=pa.int64())})
 
-    n_buckets = _default_buckets()
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        b = (hash_strings(t["gram"]) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("bucket", pa.array(b, type=pa.int64()))
-
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("gram", sort=False)["n"].sum().reset_index()
         return agg.astype({"n": np.int64})
 
-    model = (
-        train_ds.map_batches(bigram_stage, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .materialize()
-    )
+    model = exchange(train_ds.map_batches(bigram_stage, batch_format="pyarrow"),
+                     "gram", reduce_bucket).materialize()
     # size check BEFORE the driver pull (count on materialized = metadata)
     if model.count() > max_model_broadcast:
         if distribute == "broadcast":
@@ -806,8 +733,7 @@ def lm_score(train_ds: rd.Dataset, score_ds: rd.Dataset,
             )
         distribute = "shuffle"
     if distribute == "shuffle":
-        return _lm_score_shuffle(model, score_ds, text_col, id_col, alpha,
-                                 n_buckets)
+        return _lm_score_shuffle(model, score_ds, text_col, id_col, alpha)
     model_rows = model.take_all()
     counts = {r["gram"]: r["n"] for r in model_rows}
     vocab = sum(1 for k in counts if " " not in k)
@@ -862,9 +788,7 @@ def _lm_score_shuffle(model: rd.Dataset, score_ds: rd.Dataset, text_col: str,
     matches its own kind.  A <2-token document emits a sentinel row
     (big='', m=0) so it still appears in the output with
     (n_bigrams=0, avg_logp=0.0)."""
-    from .joins import _bucket_of, hash_join
-
-    n_buckets = n_buckets or _default_buckets()
+    from .joins import hash_join
 
     # V = unigram vocabulary size — a distributed count over the model
     # (one int per block to the driver), mirroring the broadcast path's
@@ -926,10 +850,6 @@ def _lm_score_shuffle(model: rd.Dataset, score_ds: rd.Dataset, text_col: str,
         n_buckets=n_buckets,
     )
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        doc = np.asarray(t["doc_id"].to_pandas(), dtype=np.int64)
-        return t.append_column("__bucket", pa.array(_bucket_of(doc, n_buckets)))
-
     def reduce_doc(g: pd.DataFrame) -> pd.DataFrame:
         m = g["m"].to_numpy(np.int64)
         c_big = g["c_big"].to_numpy(np.int64)
@@ -953,11 +873,7 @@ def _lm_score_shuffle(model: rd.Dataset, score_ds: rd.Dataset, text_col: str,
             }
         )
 
-    return (
-        j2.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce_doc, batch_format="pandas")
-    )
+    return exchange(j2, "doc_id", reduce_doc, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -987,9 +903,7 @@ def decontaminate(ds: rd.Dataset, bench: rd.Dataset,
     3. per-doc bucket count of surviving rows (already distinct per
        doc) with the ``min_shared`` threshold applied bucket-side.
     """
-    from .joins import _bucket_of, hash_join
-
-    n_buckets = n_buckets or _default_buckets()
+    from .joins import hash_join
 
     def doc_grams(t: pa.Table) -> pa.Table:
         g = _gram_rows(t, text_col, id_col, k)
@@ -1010,10 +924,6 @@ def decontaminate(ds: rd.Dataset, bench: rd.Dataset,
         bloom_prefilter=True,
     )
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        doc = np.asarray(t["doc_id"].to_pandas(), dtype=np.int64)
-        return t.append_column("__bucket", pa.array(_bucket_of(doc, n_buckets)))
-
     def count_doc(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("doc_id", sort=False).size().rename("n_shared").reset_index()
         agg = agg[agg["n_shared"] >= min_shared]
@@ -1024,11 +934,7 @@ def decontaminate(ds: rd.Dataset, bench: rd.Dataset,
             }
         )
 
-    return (
-        hits.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(count_doc, batch_format="pandas")
-    )
+    return exchange(hits, "doc_id", count_doc, n_buckets=n_buckets)
 
 # --------------------------------------------------------------------------
 # sequence packing (training-batch assembly)
@@ -1055,11 +961,8 @@ def pack_sequences(ds: rd.Dataset, text_col: str = "text",
     Returns (doc_id, n_tokens, bin_id, bin_pos) — bin_pos is the
     document's 0-based position within its bin.
     """
-    from .joins import _bucket_of
-
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-    n_buckets = n_buckets or _default_buckets()
 
     def count_stage(t: pa.Table) -> pa.Table:
         # non-empty whitespace token count, vectorized: total splits
@@ -1087,7 +990,6 @@ def pack_sequences(ds: rd.Dataset, text_col: str = "text",
             {
                 "doc_id": pa.array(ids, type=pa.int64()),
                 "n_tokens": pa.array(counts.astype(np.int64), type=pa.int64()),
-                "__bucket": pa.array(_bucket_of(ids, n_buckets)),
             }
         )
 
@@ -1123,8 +1025,5 @@ def pack_sequences(ds: rd.Dataset, text_col: str = "text",
             }
         )
 
-    return (
-        ds.map_batches(count_stage, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pack_bucket, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(count_stage, batch_format="pyarrow"),
+                    "doc_id", pack_bucket, n_buckets=n_buckets)

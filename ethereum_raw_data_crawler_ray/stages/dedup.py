@@ -30,6 +30,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.hashing import hash_strings
+from .joins import _default_buckets, _pool, exchange
 from ..functions.textstats import (
     char_shingles,
     jaccard_hashed,
@@ -105,16 +106,13 @@ def _spread_if_small(ds: rd.Dataset, max_rows: int = 2_000_000) -> rd.Dataset:
     repartition of a sub-2M-row table is trivial, and a corpus-scale
     input (which already arrives in many blocks/files) never pays an
     extra all-to-all here."""
-    import ray
-
     try:
         n = ds.count()
     except Exception:
         return ds
     if n is None or n > max_rows:
         return ds
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return ds.repartition(max(2 * ncpu, 16))
+    return ds.repartition(_default_buckets())
 
 
 def multi_bucket_keys(ds: rd.Dataset, key_col: str, max_bucket: int,
@@ -240,15 +238,7 @@ def minhash_candidates(ds: rd.Dataset, text_col: str, id_col: str,
         # the keys distributed, and either broadcast the (measured-
         # small) key array or — past the guard — semi-join the
         # signature rows against the key Dataset (one bucket exchange).
-        from .joins import _default_buckets, hash_join
-
-        nb = _default_buckets()
-
-        def bucketize(t: pa.Table) -> pa.Table:
-            k = np.asarray(t["band_key"].to_pandas(), dtype=np.int64)
-            b = (k.view(np.uint64) % np.uint64(nb)).astype(np.int64)
-            return pa.table({"band_key": pa.array(k, type=pa.int64()),
-                             "__b": pa.array(b, type=pa.int64())})
+        from .joins import hash_join
 
         def count_keys(g: pd.DataFrame) -> pd.DataFrame:
             # bucketed C-kernel count — Ray's sort-based per-key
@@ -260,13 +250,8 @@ def minhash_candidates(ds: rd.Dataset, text_col: str, id_col: str,
                 {"band_key": keep.index.to_numpy(np.int64)}
             )
 
-        keys_ds = (
-            sigs.select_columns(["band_key"])
-            .map_batches(bucketize, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(count_keys, batch_format="pandas")
-            .materialize()
-        )
+        keys_ds = exchange(sigs.select_columns(["band_key"]), "band_key",
+                           count_keys).materialize()
         n_keys = keys_ds.count()
         if n_keys == 0:
             return rd.from_pandas(_EMPTY)
@@ -290,8 +275,7 @@ def minhash_candidates(ds: rd.Dataset, text_col: str, id_col: str,
             )
     # groupby/map_groups parallelism follows the input block count; the
     # filtered candidate rows collapse to few blocks — spread them
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    cand = cand.repartition(max(2 * ncpu, 16))
+    cand = cand.repartition(_default_buckets())
     return cand.groupby("band_key").map_groups(pairs_of_group, batch_format="pandas")
 
 
@@ -485,13 +469,9 @@ def _near_dup_groups_shuffle(
     pair rows — documents never shuffle after the semi-join), connected
     components (edge stream), and the final left join of labels onto
     ids. Driver state: none beyond per-bucket task metadata."""
-    from ..functions.hashing import mix64
     from .corpus import _posting_pairs
     from .graph import connected_components
-    from .joins import _default_buckets, hash_join
-
-    nb = n_buckets or _default_buckets()
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
+    from .joins import hash_join
 
     # -- distinct candidate ids (bucketed exact dedup of the pair ids) --
     def pair_ids(t: pa.Table) -> pa.Table:
@@ -499,20 +479,15 @@ def _near_dup_groups_shuffle(
             np.asarray(t["id_a"].to_pandas(), dtype=np.int64),
             np.asarray(t["id_b"].to_pandas(), dtype=np.int64),
         ]))
-        b = (mix64(ids.view(np.uint64), 11) % np.uint64(nb)).astype(np.int64)
-        return pa.table({id_col: pa.array(ids, type=pa.int64()),
-                         "__b": pa.array(b, type=pa.int64())})
+        return pa.table({id_col: pa.array(ids, type=pa.int64())})
 
     def uniq_ids(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {id_col: np.unique(g[id_col].to_numpy(np.int64))}
         )
 
-    cand_ids = (
-        pairs_ds.map_batches(pair_ids, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(uniq_ids, batch_format="pandas")
-    )
+    cand_ids = exchange(pairs_ds.map_batches(pair_ids, batch_format="pyarrow"),
+                        id_col, uniq_ids, n_buckets=n_buckets)
 
     # -- candidate docs by distributed semi-join (no id broadcast) ------
     def to64(t: pa.Table) -> pa.Table:
@@ -530,7 +505,7 @@ def _near_dup_groups_shuffle(
         left_fields=[pa.field(id_col, pa.int64()),
                      pa.field(text_col, pa.string())],
         right_fields=[pa.field(id_col, pa.int64())],
-        n_buckets=nb,
+        n_buckets=n_buckets,
     )
 
     # -- gram rows: the SAME word_gram_hash_set sets the broadcast
@@ -560,11 +535,6 @@ def _near_dup_groups_shuffle(
             }
         )
 
-    def gram_bucket(t: pa.Table) -> pa.Table:
-        b = (np.asarray(t["gram"].to_pandas(), dtype=np.int64)
-             .view(np.uint64) % np.uint64(nb)).astype(np.int64)
-        return t.append_column("__b", pa.array(b, type=pa.int64()))
-
     def posting_pairs_capped(g: pd.DataFrame) -> pd.DataFrame:
         if max_posting is None:
             return _posting_pairs(g, None)
@@ -582,12 +552,8 @@ def _near_dup_groups_shuffle(
             ignore_index=True,
         )
 
-    shared = (
-        cand_docs.map_batches(gram_rows, batch_format="pyarrow")
-        .map_batches(gram_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(posting_pairs_capped, batch_format="pandas")
-    )
+    shared = exchange(cand_docs.map_batches(gram_rows, batch_format="pyarrow"),
+                      "gram", posting_pairs_capped, n_buckets=n_buckets)
 
     # -- tagged union: shared-gram co-occurrence rows (side 0) + the LSH
     # candidate pairs (side 1) meet in the same pair bucket, so the
@@ -609,12 +575,6 @@ def _near_dup_groups_shuffle(
                 "side": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
-
-    def pair_bucket(t: pa.Table) -> pa.Table:
-        a = np.asarray(t["id_a"].to_pandas(), dtype=np.int64).view(np.uint64)
-        b = np.asarray(t["id_b"].to_pandas(), dtype=np.int64).view(np.uint64)
-        pb = ((a * _GOLD ^ b) % np.uint64(nb)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
 
     _PAIR_EMPTY = pd.DataFrame(
         {c: pd.Series(dtype=np.int64) for c in ("id_a", "id_b")}
@@ -659,13 +619,9 @@ def _near_dup_groups_shuffle(
             lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
         )
     else:
-        verified = (
-            shared.map_batches(tag_shared, batch_format="pyarrow")
-            .union(cand_pairs)
-            .map_batches(pair_bucket, batch_format="pyarrow")
-            .groupby("__pb")
-            .map_groups(count_verify, batch_format="pandas")
-        )
+        verified = exchange(
+            [shared.map_batches(tag_shared, batch_format="pyarrow"), cand_pairs],
+            ["id_a", "id_b"], count_verify, n_buckets=n_buckets)
 
     # -- distributed grouping + streamed assignment ---------------------
     cc = connected_components(verified, a="id_a", b="id_b")
@@ -688,7 +644,7 @@ def _near_dup_groups_shuffle(
         left_fields=[pa.field(id_col, pa.int64())],
         right_fields=[pa.field(id_col, pa.int64()),
                       pa.field("component", pa.int64())],
-        n_buckets=nb,
+        n_buckets=n_buckets,
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -879,13 +835,6 @@ class _ChunkPairTask:
         return pa.concat_tables(outs)
 
 
-def _pool() -> tuple[int, int]:
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (1, max(4, ncpu))
-
-
 def embedding_dedup_pairs(
     ds: rd.Dataset, threshold: float = 0.95, chunk_rows: int = 8192,
     max_chunks: int = 512,
@@ -1063,9 +1012,7 @@ def dedup_paragraphs(ds: rd.Dataset, text_col: str = "text",
     Returns (doc_id, para_idx, para) kept rows, or with ``reassemble``
     (doc_id, text_dedup).
     """
-    from .joins import _bucket_of, _default_buckets, keyed_string_agg
-
-    n_buckets = n_buckets or _default_buckets()
+    from .joins import keyed_string_agg
 
     def explode(t: pa.Table) -> pa.Table:
         paras = pc.split_pattern(
@@ -1083,9 +1030,6 @@ def dedup_paragraphs(ds: rd.Dataset, text_col: str = "text",
                 "doc_id": pa.array(ids, type=pa.int64()),
                 "para_idx": pa.array(pidx.astype(np.int64), type=pa.int64()),
                 "para": flat,
-                "__bucket": pa.array(
-                    _bucket_of(hash_strings(flat).view(np.int64), n_buckets)
-                ),
             }
         )
 
@@ -1101,11 +1045,8 @@ def dedup_paragraphs(ds: rd.Dataset, text_col: str = "text",
             }
         )
 
-    kept = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    kept = exchange(ds.map_batches(explode, batch_format="pyarrow"), "para",
+                    keep_first, n_buckets=n_buckets)
     if not reassemble:
         return kept
 

@@ -50,7 +50,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..functions.hashing import mix64 as _mix64
-from .joins import _default_buckets
+from .joins import _default_buckets, exchange
 
 
 def local_cc(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +214,10 @@ def connected_components(
         )
 
     # At fixpoint stars are (node -> global min root), possibly with
-    # duplicate rows from dual routing.  One final __v-bucketed pass
+    # duplicate rows from dual routing.  One final __v-keyed exchange
     # emits the output: all rows of a root share its bucket, so
     # per-bucket pair-dedup + distinct-root self-rows are globally
     # distinct — no driver-side unique() over the component set.
-    def final_bucket(t: pa.Table) -> pa.Table:
-        k = _mix64(t["__v"].to_numpy().astype(np.uint64), 0)
-        return t.append_column(
-            "__bucket", pa.array((k % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def emit(t: pa.Table) -> pa.Table:
         u = t["__u"].to_numpy().astype(np.int64)
         v = t["__v"].to_numpy().astype(np.int64)
@@ -236,11 +230,8 @@ def connected_components(
             }
         )
 
-    return (
-        stars.map_batches(final_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(emit, batch_format="pyarrow")
-    )
+    return exchange(stars, "__v", emit, n_buckets=n_buckets,
+                    batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------
@@ -290,20 +281,11 @@ def pagerank(
     """
     import ray
 
-    n_buckets = n_buckets or _default_buckets()
-
     def to_pairs(t: pa.Table) -> pa.Table:
         u = t[a].to_numpy(zero_copy_only=False).astype(np.int64)
         v = t[b].to_numpy(zero_copy_only=False).astype(np.int64)
         m = u != v
-        k = _mix64(u[m].astype(np.uint64), 3)
-        return pa.table(
-            {
-                "__u": u[m],
-                "__v": v[m],
-                "__bucket": (k % np.uint64(n_buckets)).astype(np.int64),
-            }
-        )
+        return pa.table({"__u": u[m], "__v": v[m]})
 
     def dedup_bucket(t: pa.Table) -> pa.Table:
         pairs = np.unique(
@@ -316,12 +298,9 @@ def pagerank(
         return pa.table({"__u": pairs[:, 0], "__v": pairs[:, 1]})
 
     # all edges of a src share a bucket, so per-bucket distinct is global
-    dedges = (
-        edges.map_batches(to_pairs, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dedup_bucket, batch_format="pyarrow")
-        .materialize()
-    )
+    dedges = exchange(edges.map_batches(to_pairs, batch_format="pyarrow"), "__u",
+                      dedup_bucket, n_buckets=n_buckets,
+                      batch_format="pyarrow").materialize()
     n_edges = dedges.count()
 
     if n_edges == 0:

@@ -8,10 +8,15 @@ operators" guidance):
    ``n_buckets`` buckets — ONE all-to-all exchange, the minimum any
    equi-join needs;
 2. tag each side, unify schemas (missing columns as nulls) and union;
-3. ``groupby("__bucket").map_groups`` — each group is a *bucket* of many
-   keys, not a single key, so the per-group pandas overhead (50-100 µs)
-   is amortized over ~|data|/n_buckets rows and the kernel inside is a
+3. :func:`exchange` — ``groupby("__bucket").map_groups`` over the
+   :func:`_bucket_of` key hash.  Each group is a *bucket* of many keys,
+   not a single key, so the per-group pandas overhead (50-100 µs) is
+   amortized over ~|data|/n_buckets rows and the kernel inside is a
    fully vectorized ``pd.merge_asof(..., by=key)``.
+
+Every hash-bucket groupby of the query stages (joins, windows, corpus,
+dedup, sketches, graph, the bucketed queries) goes through
+:func:`exchange`, so one function decides how a key maps to a bucket.
 
 Partitioning assumptions (documented per the operator contract):
 
@@ -37,6 +42,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from ..functions.hashing import mix64
 
 
 def _arrow_fields(ds: rd.Dataset) -> list[pa.Field]:
@@ -86,6 +93,15 @@ def _default_buckets() -> int:
     return max(2 * ncpu, 16)
 
 
+def _pool() -> tuple[int, int]:
+    """Autoscaling actor-pool bounds sized from the cluster: (1, max(4,
+    CPUs)) — a fixed (1, 4) cap starves a 32-CPU box."""
+    import ray
+
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    return (1, max(4, ncpu))
+
+
 def _first_mask(key: np.ndarray) -> np.ndarray:
     """Row-is-first-of-its-key mask over a SORTED key array, treating
     null keys (None/NaN) as ONE key — SQL PARTITION BY semantics; a
@@ -102,17 +118,20 @@ def _first_mask(key: np.ndarray) -> np.ndarray:
     return first
 
 
-def _bucket_of(arr: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic vectorized key→bucket (splitmix-style mix for int
-    keys; pandas hash_array for everything else)."""
-    if np.issubdtype(arr.dtype, np.integer):
-        x = arr.astype(np.uint64)
-        x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
-        x ^= x >> 31
-    else:
-        x = pd.util.hash_array(arr)
-    return (x % np.uint64(n_buckets)).astype(np.int64)
+def _hash64(x: np.ndarray) -> np.ndarray:
+    """Deterministic vectorized uint64 key hash: ``mix64`` for int keys,
+    pandas hash_array for everything else."""
+    return mix64(x) if np.issubdtype(x.dtype, np.integer) else pd.util.hash_array(x)
+
+
+def _bucket_of(key: np.ndarray | list[np.ndarray], n_buckets: int) -> np.ndarray:
+    """Key→bucket.  A list of arrays is a multi-column key: its
+    per-column hashes chain through ``mix64`` (order-sensitive, so
+    (a, b) and (b, a) bucket apart)."""
+    h = None
+    for x in key if isinstance(key, list) else [key]:
+        h = _hash64(x) if h is None else mix64(h) ^ _hash64(x)
+    return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
 # routing-only stand-in for null int keys; a real key colliding with it
@@ -142,16 +161,47 @@ def _key_for_hash(col) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False)
 
 
-def _tagged_union(
+def exchange(
+    ds: rd.Dataset | list[rd.Dataset],
+    keys: str | list[str],
+    fn,
+    *,
+    n_buckets: int | None = None,
+    batch_format: str = "pandas",
+) -> rd.Dataset:
+    """The one hash-bucket exchange: append ``__bucket`` =
+    :func:`_bucket_of` of the :func:`_key_for_hash` key columns ``keys``
+    and run ``fn`` once per bucket
+    (``groupby("__bucket").map_groups``).  All rows of a key land in
+    one bucket, so a per-bucket kernel over many keys is globally exact
+    for that key.  A list of datasets is bucketed side by side and
+    unioned (the tagged inputs of a join).
+
+    ``fn`` sees the bucket frame WITH its ``__bucket`` column (dropping
+    it would copy every bucket); it selects what it emits.  The bucket
+    tag is a pyarrow ``map_batches`` that fuses into the caller's
+    upstream map."""
+    n_buckets = n_buckets or _default_buckets()
+    cols = [keys] if isinstance(keys, str) else list(keys)
+
+    def tag(t: pa.Table) -> pa.Table:
+        b = _bucket_of([_key_for_hash(t[c]) for c in cols], n_buckets)
+        return t.append_column("__bucket", pa.array(b))
+
+    sides = [d.map_batches(tag, batch_format="pyarrow")
+             for d in (ds if isinstance(ds, list) else [ds])]
+    u = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+    return u.groupby("__bucket").map_groups(fn, batch_format=batch_format)
+
+
+def _tagged_sides(
     left: rd.Dataset,
     right: rd.Dataset,
-    by: str,
-    n_buckets: int,
     lschema: list[pa.Field],
     rschema: list[pa.Field],
-) -> rd.Dataset:
-    """Bucket + side-tag both inputs and union them under one schema so a
-    single groupby co-partitions the join."""
+) -> list[rd.Dataset]:
+    """Side-tag both inputs under one schema so a single
+    :func:`exchange` co-partitions the join."""
     lcols = [f.name for f in lschema]
     rcols = [f.name for f in rschema]
     all_fields: list[pa.Field] = []
@@ -172,14 +222,12 @@ def _tagged_union(
                 else:
                     cols[f.name] = pa.nulls(n, type=f.type)
             cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
-            cols["__bucket"] = pa.array(_bucket_of(_key_for_hash(t[by]), n_buckets))
             return pa.table(cols)
 
         return tag
 
-    lt = left.map_batches(make_tagger(0, lcols), batch_format="pyarrow")
-    rt = right.map_batches(make_tagger(1, rcols), batch_format="pyarrow")
-    return lt.union(rt)
+    return [left.map_batches(make_tagger(0, lcols), batch_format="pyarrow"),
+            right.map_batches(make_tagger(1, rcols), batch_format="pyarrow")]
 
 
 def asof_join(
@@ -213,14 +261,13 @@ def asof_join(
     are broken by right input order within the bucket — the test corpus
     has no (by, on) duplicates (checked).
     """
-    n_buckets = n_buckets or _default_buckets()
     lfields = left_fields or _arrow_fields(left)
     lcols = [f.name for f in lfields]
     rkeep = list(dict.fromkeys([by, on, *right_cols]))
     rename = {c: (c + suffix if c in lcols else c) for c in right_cols if c != by}
     fill = fill_value or {}
     rfields = [f for f in (right_fields or _arrow_fields(right)) if f.name in rkeep]
-    u = _tagged_union(left, right.select_columns(rkeep), by, n_buckets, lfields, rfields)
+    sides = _tagged_sides(left, right.select_columns(rkeep), lfields, rfields)
 
     l_ints = _int_cols(lfields, lcols)
     r_ints = _int_cols(rfields, rkeep)
@@ -244,7 +291,7 @@ def asof_join(
             merged[col] = merged[col].fillna(v).astype(dt)
         return merged
 
-    return u.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return exchange(sides, by, join_bucket, n_buckets=n_buckets)
 
 
 def range_join_agg(
@@ -275,12 +322,11 @@ def range_join_agg(
 
     Output: all left columns + ``n_win`` (int64) [+ ``sum_win``].
     """
-    n_buckets = n_buckets or _default_buckets()
     lfields = left_fields or _arrow_fields(left)
     lcols = [f.name for f in lfields]
     rkeep = [by, on] + ([value_col] if value_col else [])
     rfields = [f for f in (right_fields or _arrow_fields(right)) if f.name in rkeep]
-    u = _tagged_union(left, right.select_columns(rkeep), by, n_buckets, lfields, rfields)
+    sides = _tagged_sides(left, right.select_columns(rkeep), lfields, rfields)
 
     l_ints = _int_cols(lfields, lcols)
     r_ints = _int_cols(rfields, rkeep)
@@ -337,7 +383,7 @@ def range_join_agg(
             out["sum_win"] = (s_hi - s_lo) / float(value_scale)
         return out
 
-    return u.groupby("__bucket").map_groups(agg_bucket, batch_format="pandas")
+    return exchange(sides, by, agg_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +412,6 @@ def keyed_gaps(
     (TESTDATA), and the gap MULTISET per key — hence every output
     statistic — is tie-order-invariant anyway.
     """
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -378,7 +423,6 @@ def keyed_gaps(
             {
                 by: t[by],
                 "__ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
-                "__bucket": pa.array(_bucket_of(_key_for_hash(t[by]), n_buckets)),
             }
         )
 
@@ -414,10 +458,9 @@ def keyed_gaps(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(gaps_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        by, gaps_bucket, n_buckets=n_buckets,
     )
 
 
@@ -448,9 +491,11 @@ def funnel_stages(
     Returns (user, t1_us … tk_us, depth) streaming."""
     if len(stages) < 2:
         raise ValueError("need at least 2 funnel stages")
-    n_buckets = n_buckets or _default_buckets()
     tcols = [f"t{i}_us" for i in range(1, len(stages) + 1)]
-    _EMPTY = {user: pd.Series(dtype=np.int64),
+    # key dtypes from the input schema: a string-keyed empty bucket must
+    # not emit an int64 user column next to other buckets' strings
+    kt = {f.name: f.type.to_pandas_dtype() for f in _arrow_fields(ds)}
+    _EMPTY = {user: pd.Series(dtype=kt[user]),
               **{c: pd.Series(dtype=np.float64) for c in tcols},
               "depth": pd.Series(dtype=np.int64)}
 
@@ -465,8 +510,6 @@ def funnel_stages(
                 user: t[user],
                 type_col: t[type_col],
                 "__ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
-                "__bucket": pa.array(
-                    _bucket_of(_key_for_hash(t[user]), n_buckets)),
             }
         )
 
@@ -496,10 +539,9 @@ def funnel_stages(
         out["depth"] = depth
         return out
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        user, run_bucket, n_buckets=n_buckets,
     )
 
 
@@ -531,7 +573,6 @@ def cohort_retention(
     ``normalize=True`` adds ``cohort_size`` (the week-0 cell — every
     cohort member has one by construction) and ``retention`` (one IEEE
     division of the two exact counts)."""
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -543,8 +584,6 @@ def cohort_retention(
             {
                 user: t[user],
                 "__ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
-                "__bucket": pa.array(
-                    _bucket_of(_key_for_hash(t[user]), n_buckets)),
             }
         )
 
@@ -563,12 +602,10 @@ def cohort_retention(
         return cells.astype({c: np.int64
                              for c in ("cohort", "week_off", "n_users")})
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        user, run_bucket, n_buckets=n_buckets,
+    ).to_pandas()
     if not len(parts):
         cols = {c: pd.Series(dtype=np.int64)
                 for c in ("cohort", "week_off", "n_users")}
@@ -633,9 +670,9 @@ def sessionize_ids(
     apply).  Exact int64 µs arithmetic; ties order by (ts, id)
     deterministically on both sides.  Returns (id, user, ts_us,
     session_no) streaming."""
-    n_buckets = n_buckets or _default_buckets()
-    _EMPTY = {id_col: pd.Series(dtype=np.int64),
-              user: pd.Series(dtype=np.int64),
+    kt = {f.name: f.type.to_pandas_dtype() for f in _arrow_fields(ds)}
+    _EMPTY = {id_col: pd.Series(dtype=kt[id_col]),
+              user: pd.Series(dtype=kt[user]),
               "ts_us": pd.Series(dtype=np.int64),
               "session_no": pd.Series(dtype=np.int64)}
 
@@ -650,8 +687,6 @@ def sessionize_ids(
                 id_col: t[id_col],
                 user: t[user],
                 "__ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
-                "__bucket": pa.array(
-                    _bucket_of(_key_for_hash(t[user]), n_buckets)),
             }
         )
 
@@ -668,10 +703,9 @@ def sessionize_ids(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        user, run_bucket, n_buckets=n_buckets,
     )
 
 
@@ -694,7 +728,6 @@ def session_stats(
     fail loud (cents-family convention).  Returns (user, session_no,
     n_events, t_start_us, t_end_us, duration_us, sum_value_cents)
     streaming."""
-    n_buckets = n_buckets or _default_buckets()
     _OUT = [user, "session_no", "n_events", "t_start_us", "t_end_us",
             "duration_us", "sum_value_cents"]
 
@@ -715,8 +748,6 @@ def session_stats(
                 user: t[user],
                 "__ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
                 "__cents": pa.array(cents),
-                "__bucket": pa.array(
-                    _bucket_of(_key_for_hash(t[user]), n_buckets)),
             }
         )
 
@@ -734,10 +765,9 @@ def session_stats(
         agg["duration_us"] = agg["t_end_us"] - agg["t_start_us"]
         return agg[_OUT].astype({c: np.int64 for c in _OUT[1:]})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        user, run_bucket, n_buckets=n_buckets,
     )
 
 
@@ -759,7 +789,6 @@ def transition_counts(
     consecutive same-user events and a pandas groupby sizes the pairs
     (≤ |types|² rows per bucket), so the driver merge is tiny.  Exact
     int64 counts.  Returns (from_type, to_type, n) sorted."""
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -773,8 +802,6 @@ def transition_counts(
                 id_col: t[id_col],
                 type_col: t[type_col],
                 "__ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
-                "__bucket": pa.array(
-                    _bucket_of(_key_for_hash(t[user]), n_buckets)),
             }
         )
 
@@ -797,12 +824,10 @@ def transition_counts(
              .size().rename("n").reset_index())
         return c.astype({"n": np.int64})
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        user, run_bucket, n_buckets=n_buckets,
+    ).to_pandas()
     if not len(parts):
         return parts
     return (parts.groupby(["from_type", "to_type"], sort=True)["n"]
@@ -825,15 +850,12 @@ def type_overlap_counts(
     triangle filter (each user contributes ≤ C(|types|,2) pairs), and
     emits pair partials; disjoint-user buckets make the driver merge a
     plain sum.  Returns (type_a, type_b, n_users) sorted."""
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 user: t[user],
                 type_col: t[type_col],
-                "__bucket": pa.array(
-                    _bucket_of(_key_for_hash(t[user]), n_buckets)),
             }
         )
 
@@ -852,12 +874,10 @@ def type_overlap_counts(
         c.columns = ["type_a", "type_b", "n_users"]
         return c.astype({"n_users": np.int64})
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        user, run_bucket, n_buckets=n_buckets,
+    ).to_pandas()
     if not len(parts):
         return parts
     return (parts.groupby(["type_a", "type_b"], sort=True)["n_users"]
@@ -895,7 +915,6 @@ def rolling_active_users(
 
     from ..functions.broadcast import get_broadcast
 
-    n_buckets = n_buckets or _default_buckets()
     # pin the user column's unified arrow type ONCE: the per-batch
     # pandas round-trip below floats a nullable int column only in
     # blocks that contain a null, and a dtype-flapping key would hash
@@ -914,13 +933,10 @@ def rolling_active_users(
         df = pd.DataFrame({user: t[user].to_pandas(), "__day": day})
         # NULL users never count (COUNT(DISTINCT user) SQL semantics)
         df = df[df[user].notna()].drop_duplicates()
-        ua = pa.Array.from_pandas(df[user], type=utype)
         return pa.table(
             {
-                user: ua,
+                user: pa.Array.from_pandas(df[user], type=utype),
                 "__day": pa.array(df["__day"].to_numpy(np.int64)),
-                "__bucket": pa.array(_bucket_of(
-                    _key_for_hash(ua), n_buckets)),
             }
         )
 
@@ -951,8 +967,8 @@ def rolling_active_users(
         return c.reset_index().astype({"day": np.int64,
                                        "n_active": np.int64})
 
-    parts = (pairs.groupby("__bucket")
-             .map_groups(run_bucket, batch_format="pandas").to_pandas())
+    parts = exchange(pairs, user, run_bucket,
+                     n_buckets=n_buckets).to_pandas()
     if not len(parts):
         return parts
     return (parts.groupby("day", sort=True)["n_active"].sum()
@@ -1009,14 +1025,16 @@ def hash_join(
     must be kept.
 
     NULL join keys never match (SQL semantics — pandas' NaN==NaN
-    pairing is suppressed) and are excluded from every mode's output,
-    including left/anti.
+    pairing is suppressed).  Null-key rows pass through UNMATCHED
+    wherever SQL keeps unmatched rows: left and anti keep the left
+    side's, outer keeps both sides' (with the ``fill_value`` fills);
+    inner and semi drop them.  A nullable int key then comes back as
+    float64 (NaN for the null keys) from the bucket that holds them.
     """
     if how not in ("inner", "left", "outer", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
     if bloom_prefilter and how not in ("inner", "semi"):
         raise ValueError("bloom_prefilter only valid for inner/semi joins")
-    n_buckets = n_buckets or _default_buckets()
     lfields = left_fields or _arrow_fields(left)
     lcols = [f.name for f in lfields]
     rkeep = list(dict.fromkeys([on, *right_cols]))
@@ -1050,29 +1068,34 @@ def hash_join(
         rkeep = [collide.get(c, c) for c in rkeep]
         rfields = [pa.field(collide.get(f.name, f.name), f.type)
                    for f in rfields]
-    u = _tagged_union(left, right, on, n_buckets, lfields, rfields)
+    sides = _tagged_sides(left, right, lfields, rfields)
 
     l_ints = _int_cols(lfields, lcols)
     r_ints = _int_cols(rfields, rkeep)
     out_is_left_only = how in ("semi", "anti")
 
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lf = g[g["__side"] == 0]
-        rf = g[g["__side"] == 1]
+        lf = g[g["__side"] == 0][lcols]
+        rf = g[g["__side"] == 1][rkeep]
         # SQL equi-joins never match NULL keys, but pandas merge/isin DO
-        # pair NaN with NaN — drop null-key rows from both sides before
-        # joining.  (Contract: null-key rows appear in NO mode's output,
-        # including left/anti — documented deviation from NOT EXISTS,
-        # which would keep them; it also keeps int key columns castable
-        # below, since a kept NaN would float-promote the output.)
-        lf = lf[lf[on].notna()]
-        rf = rf[rf[on].notna()]
-        lf = lf[lcols].astype({c: np.int64 for c in l_ints})
-        rf = rf[rkeep].astype({c: np.int64 for c in r_ints})
+        # pair NaN with NaN — split null-key rows off both sides, join
+        # the rest, and append them unmatched where the mode keeps
+        # unmatched rows (the null key itself stays NaN, uncast)
+        ln, rn = lf[on].isna(), rf[on].isna()
+        lnull = lf[ln].astype({c: np.int64 for c in l_ints if c != on})
+        rnull = rf[rn].astype({c: np.int64 for c in r_ints if c != on})
+        lf = lf[~ln].astype({c: np.int64 for c in l_ints})
+        rf = rf[~rn].astype({c: np.int64 for c in r_ints})
         if out_is_left_only:
             mask = lf[on].isin(rf[on].unique())
-            return lf[mask] if how == "semi" else lf[~mask]
+            if how == "semi":
+                return lf[mask]
+            return pd.concat([lf[~mask], lnull]) if len(lnull) else lf[~mask]
         merged = pd.merge(lf, rf, on=on, how=how)
+        unmatched = [x for x in ([lnull] if how != "inner" else [])
+                     + ([rnull] if how == "outer" else []) if len(x)]
+        if unmatched:
+            merged = pd.concat([merged, *unmatched], ignore_index=True)
         for col, v in fill.items():
             # outer joins leave NaN on BOTH sides, so a fill target may
             # be a left column (unmatched right row).  Columns are
@@ -1083,7 +1106,7 @@ def hash_join(
             merged[col] = merged[col].fillna(v).astype(ref[col].dtype)
         return merged
 
-    return u.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return exchange(sides, on, join_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -1111,7 +1134,6 @@ def keyed_running_sum(
     running_cents:int64); ties on (key, ts) would make the prefix
     ambiguous — the events corpus has none (TESTDATA).
     """
-    n_buckets = n_buckets or _default_buckets()
 
     def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -1134,18 +1156,17 @@ def keyed_running_sum(
             }
         )
 
-    return (
-        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col),
+                       batch_format="pyarrow"),
+        by, run_bucket, n_buckets=n_buckets,
     )
 
 
-def _keyed_cents_tag(by: str, ts_col: str, val_col: str, n_buckets: int,
+def _keyed_cents_tag(by: str, ts_col: str, val_col: str,
                      extra_cols: tuple[str, ...] = ()):
     """Shared map stage of the keyed-window family: (key, [extras],
-    ts_us, exact integer cents, key hash bucket) — the ONE exchange
+    ts_us, exact integer cents), the input of the ONE key exchange
     every PARTITION-BY window needs. Cents use half-away-from-zero
     rounding (DuckDB ROUND parity; pc.round is half-to-even).
 
@@ -1175,7 +1196,6 @@ def _keyed_cents_tag(by: str, ts_col: str, val_col: str, n_buckets: int,
                 **{c: t[c] for c in extra_cols},
                 "ts_us": pc.cast(ts, pa.int64()).combine_chunks(),
                 "__cents": cents,
-                "__bucket": pa.array(_bucket_of(_key_for_hash(t[by]), n_buckets)),
             }
         )
 
@@ -1202,7 +1222,6 @@ def keyed_moving_agg(
     ambiguous — the events corpus has none (TESTDATA)."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    n_buckets = n_buckets or _default_buckets()
     _EMPTY = {c: [] for c in (by, "ts_us", "mov_sum_cents",
                               "mov_min_cents", "mov_max_cents", "mov_n")}
 
@@ -1240,11 +1259,10 @@ def keyed_moving_agg(
             }
         )
 
-    return (
-        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col),
+                       batch_format="pyarrow"),
+        by, run_bucket, n_buckets=n_buckets,
     )
 
 
@@ -1262,7 +1280,6 @@ def keyed_frame_stats(
     key-run start/end indexing, percent_rank = pos/(n_rows−1), the
     exact double division SQL performs, 0.0 for singleton keys).
     Output: (by, ts_us, first_cents, last_cents, pct_rank)."""
-    n_buckets = n_buckets or _default_buckets()
     _EMPTY = {c: [] for c in (by, "ts_us", "first_cents",
                               "last_cents", "pct_rank")}
 
@@ -1291,11 +1308,10 @@ def keyed_frame_stats(
             }
         )
 
-    return (
-        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col),
+                       batch_format="pyarrow"),
+        by, run_bucket, n_buckets=n_buckets,
     )
 
 
@@ -1318,35 +1334,25 @@ def set_op(
     bucket, so per-bucket set algebra is globally exact.
 
     NULL keys follow SQL set semantics (NULLs compare EQUAL in
-    INTERSECT/EXCEPT, unlike joins): null rows are routed to bucket 0
-    and membership is decided by per-side null presence there.
+    INTERSECT/EXCEPT, unlike joins): every null key hashes alike, so
+    the null rows of both sides meet in one bucket and membership is
+    decided by per-side null presence there.
 
     ``union`` is deliberately absent: Ray Data's ``ds.union`` +
     bucketed distinct already covers it (q13/q15).
     """
     if op not in ("intersect", "except"):
         raise ValueError(f"unsupported op={op!r}")
-    n_buckets = n_buckets or _default_buckets()
 
     def make_tag(side: int):
         def tag(t: pa.Table) -> pa.Table:
-            key = _key_for_hash(t[on])
-            bucket = _bucket_of(key, n_buckets)
-            null_mask = np.asarray(pd.isna(t[on].to_numpy(zero_copy_only=False)))
-            bucket[null_mask] = 0  # co-locate NULLs so bucket 0 decides them
-            return pa.table(
-                {
-                    on: t[on],
-                    "__side": pa.array(np.full(len(key), side, dtype=np.int8)),
-                    "__bucket": pa.array(bucket),
-                }
-            )
+            return pa.table({on: t[on], "__side": pa.array(
+                np.full(len(t), side, dtype=np.int8))})
 
         return tag
 
-    u = left.select_columns([on]).map_batches(
-        make_tag(0), batch_format="pyarrow"
-    ).union(right.select_columns([on]).map_batches(make_tag(1), batch_format="pyarrow"))
+    sides = [d.select_columns([on]).map_batches(make_tag(i), batch_format="pyarrow")
+             for i, d in enumerate((left, right))]
 
     def op_bucket(g: pd.DataFrame) -> pd.DataFrame:
         av = g.loc[g["__side"] == 0, on]
@@ -1362,21 +1368,16 @@ def set_op(
             )
         return frame
 
-    return u.groupby("__bucket").map_groups(op_bucket, batch_format="pandas")
+    return exchange(sides, on, op_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
 # bloom prefilter (selective-join scale path)
 # --------------------------------------------------------------------------
 def _bloom_hashes(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent bit positions per key (shared splitmix64 mix for
-    ints, pandas hash_array otherwise), double-hashing style."""
-    if np.issubdtype(keys.dtype, np.integer):
-        from ..functions.hashing import mix64
-
-        x = mix64(keys)
-    else:
-        x = pd.util.hash_array(keys)
+    """Two independent bit positions per key (the :func:`_hash64` key
+    hash), double-hashing style."""
+    x = _hash64(keys)
     h2 = (x >> np.uint64(32)) | np.uint64(1)
     return (x % np.uint64(bits)), ((x + h2) % np.uint64(bits))
 
@@ -1435,7 +1436,6 @@ def keyed_string_agg(
     (key, order) and a C-level pandas groupby-join.  Ambiguous only if
     (key, order_col) has duplicates — the events corpus has none
     (TESTDATA)."""
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1448,7 +1448,6 @@ def keyed_string_agg(
                 by: t[by],
                 "__ord": pc.cast(oc, pa.int64()).combine_chunks(),
                 "__val": t[val_col],
-                "__bucket": pa.array(_bucket_of(_key_for_hash(t[by]), n_buckets)),
             }
         )
 
@@ -1462,10 +1461,9 @@ def keyed_string_agg(
         )
         return pd.DataFrame({by: out.index.to_numpy(), "agg": out.to_numpy()})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(agg_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        by, agg_bucket, n_buckets=n_buckets,
     )
 
 
@@ -1484,7 +1482,6 @@ def keyed_ntile(
     semantics).  Output (by, ord_us:int64, tile:int64)."""
     if k < 1:
         raise ValueError(f"NTILE requires k >= 1, got {k}")
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1496,7 +1493,6 @@ def keyed_ntile(
             {
                 by: t[by],
                 "ord_us": pc.cast(oc, pa.int64()).combine_chunks(),
-                "__bucket": pa.array(_bucket_of(_key_for_hash(t[by]), n_buckets)),
             }
         )
 
@@ -1525,10 +1521,9 @@ def keyed_ntile(
             {by: key, "ord_us": g["ord_us"].to_numpy(np.int64), "tile": tile.astype(np.int64)}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(tile_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        by, tile_bucket, n_buckets=n_buckets,
     )
 
 
@@ -1558,7 +1553,6 @@ def keyed_lag_lead(
     Ties on (key, ts) would make neighbors ambiguous — the events
     corpus has none (TESTDATA).
     """
-    n_buckets = n_buckets or _default_buckets()
     _OUT = (by, "ts_us", "cents", "lag_cents", "lead_cents", "delta_cents")
 
     def shift_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1586,11 +1580,10 @@ def keyed_lag_lead(
             }
         )
 
-    return (
-        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(shift_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col),
+                       batch_format="pyarrow"),
+        by, shift_bucket, n_buckets=n_buckets,
     )
 
 
@@ -1618,7 +1611,6 @@ def keyed_rank(
     along only to identify rows in the output.
     Output: (by, id_col, ts_us, cents, rnk, drnk), all-int64 ranks.
     """
-    n_buckets = n_buckets or _default_buckets()
     _OUT = (by, id_col, "ts_us", "cents", "rnk", "drnk")
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1642,12 +1634,11 @@ def keyed_rank(
             }
         )
 
-    return (
-        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col, n_buckets,
+    return exchange(
+        ds.map_batches(_keyed_cents_tag(by, ts_col, val_col,
                                         extra_cols=(id_col,)),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(rank_bucket, batch_format="pandas")
+                       batch_format="pyarrow"),
+        by, rank_bucket, n_buckets=n_buckets,
     )
 
 
@@ -1670,7 +1661,6 @@ def latest_per_key(
     ``{ts_col}_us`` int64.  Ties on (key, ts) would make "latest"
     ambiguous — the events corpus has none (TESTDATA).
     """
-    n_buckets = n_buckets or _default_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1680,16 +1670,18 @@ def latest_per_key(
             ts = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
         cols = {c: t[c] for c in t.column_names if c != ts_col}
         cols[f"{ts_col}_us"] = pc.cast(ts, pa.int64()).combine_chunks()
-        cols["__bucket"] = pa.array(_bucket_of(_key_for_hash(t[by]), n_buckets))
         out = pa.table(cols)
-        # batch-local compaction: newest row per key in this batch
-        df = out.to_pandas()
+        # batch-local compaction: newest row per key in this batch,
+        # taken from the arrow table so the key keeps its arrow type (a
+        # pandas round-trip floats a nullable int key only in batches
+        # with a null, and the exchange would hash it down another path)
         keep = (
-            df.sort_values([by, f"{ts_col}_us"], kind="mergesort")
+            out.select([by, f"{ts_col}_us"]).to_pandas()
+            .sort_values([by, f"{ts_col}_us"], kind="mergesort")
             .groupby(by, sort=False, dropna=False)
             .tail(1)
         )
-        return pa.Table.from_pandas(keep, preserve_index=False)
+        return out.take(pa.array(keep.index.to_numpy()))
 
     def last_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -1698,8 +1690,7 @@ def latest_per_key(
         last = np.append(_first_mask(g[by].to_numpy())[1:], True)
         return g[last].drop(columns=["__bucket"])
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(last_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        by, last_bucket, n_buckets=n_buckets,
     )

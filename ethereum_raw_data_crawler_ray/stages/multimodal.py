@@ -24,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from .joins import _pool
+
 _MAGIC = b"FAKEIMG1"
 
 
@@ -153,13 +155,6 @@ class DecodeStage:
         return pa.table(cols)
 
 
-def _mm_pool() -> tuple[int, int]:
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (1, max(4, ncpu))
-
-
 class ResizeStage:
     """map_batches actor: image payload → resized payload + new dims.
     The real-codec analog would hold the decoder/encoder handles from
@@ -237,7 +232,7 @@ def resize_pipeline(ds: rd.Dataset, target_w: int = 64, target_h: int = 64) -> r
         fn_constructor_args=(target_w, target_h),
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=_mm_pool(),
+        concurrency=_pool(),
         num_cpus=1,
     )
 
@@ -325,7 +320,7 @@ def frame_sample_pipeline(ds: rd.Dataset, stride: int = 4,
         fn_constructor_args=(256, stride, max_frames, codec),
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=_mm_pool(),
+        concurrency=_pool(),
         num_cpus=1,
     )
 
@@ -338,7 +333,7 @@ def decode_pipeline(ds: rd.Dataset, with_features: bool = False) -> rd.Dataset:
         fn_constructor_args=("fake", with_features),
         batch_format="pyarrow",
         batch_size=256,  # binary payloads are wide — keep batches small
-        concurrency=_mm_pool(),
+        concurrency=_pool(),
         num_cpus=1,
     )
 
@@ -482,7 +477,7 @@ def ppm_pipeline(
         fn_constructor_args=(target_w, target_h, True, with_blob),
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=_mm_pool(),
+        concurrency=_pool(),
         num_cpus=1,
     )
 
@@ -568,7 +563,7 @@ def wav_pipeline(ds: rd.Dataset) -> rd.Dataset:
         WavStage,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=_mm_pool(),
+        concurrency=_pool(),
         num_cpus=1,
     )
 

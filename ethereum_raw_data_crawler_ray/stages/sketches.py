@@ -32,8 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-
-from .joins import _default_buckets  # shared ~2×CPU (floor 16) policy
+from .joins import exchange
 
 
 # ==========================================================================
@@ -77,23 +76,10 @@ def _sparse_histogram(ds: rd.Dataset, col: str, scale: int, n_hist: int,
     if partials.count() <= driver_merge_rows:
         hp = partials.to_pandas()
     else:
-        nb = _default_buckets()
-
-        def reb(t: pa.Table) -> pa.Table:
-            b = np.asarray(t["bucket"].to_pandas(), dtype=np.int64)
-            return t.append_column(
-                "g", pa.array((b % nb).astype(np.int64), type=pa.int64())
-            )
-
-        hp = (
-            partials.map_batches(reb, batch_format="pyarrow")
-            .groupby("g")
-            .map_groups(
-                lambda g: g.groupby("bucket", sort=False)["n"].sum().reset_index(),
-                batch_format="pandas",
-            )
-            .to_pandas()
-        )
+        hp = exchange(
+            partials, "bucket",
+            lambda g: g.groupby("bucket", sort=False)["n"].sum().reset_index(),
+        ).to_pandas()
     h = hp.groupby("bucket", sort=True)["n"].sum().reset_index()
     cum = h["n"].cumsum().to_numpy()
     return h, cum, int(cum[-1]) if len(cum) else 0, lo_c, width
@@ -300,27 +286,11 @@ def grouped_quantiles(
     if partials.count() <= driver_merge_rows:
         hp = partials.to_pandas()
     else:
-        nb = _default_buckets()
-
-        def reb(t: pa.Table) -> pa.Table:
-            # group keys may be strings; any within-run-consistent hash
-            # balances the combine buckets
-            df = t.select(["g", "bucket"]).to_pandas()
-            hv = pd.util.hash_pandas_object(df, index=False).to_numpy()
-            return t.append_column(
-                "gg", pa.array((hv % np.uint64(nb)).astype(np.int64))
-            )
-
-        hp = (
-            partials.map_batches(reb, batch_format="pyarrow")
-            .groupby("gg")
-            .map_groups(
-                lambda f: f.groupby(["g", "bucket"], sort=False)["n"]
-                .sum().reset_index(),
-                batch_format="pandas",
-            )
-            .to_pandas()
-        )
+        hp = exchange(
+            partials, ["g", "bucket"],
+            lambda f: f.groupby(["g", "bucket"], sort=False)["n"]
+            .sum().reset_index(),
+        ).to_pandas()
     h = (
         hp.groupby(["g", "bucket"], sort=True)["n"].sum().reset_index()
         .sort_values(["g", "bucket"])
@@ -426,25 +396,11 @@ def grouped_quantiles_cont(
     if partials.count() <= driver_merge_rows:
         hp = partials.to_pandas()
     else:
-        nb = _default_buckets()
-
-        def reb(t: pa.Table) -> pa.Table:
-            df = t.select(["g", "bucket"]).to_pandas()
-            hv = pd.util.hash_pandas_object(df, index=False).to_numpy()
-            return t.append_column(
-                "gg", pa.array((hv % np.uint64(nb)).astype(np.int64))
-            )
-
-        hp = (
-            partials.map_batches(reb, batch_format="pyarrow")
-            .groupby("gg")
-            .map_groups(
-                lambda f: f.groupby(["g", "bucket"], sort=False)["n"]
-                .sum().reset_index(),
-                batch_format="pandas",
-            )
-            .to_pandas()
-        )
+        hp = exchange(
+            partials, ["g", "bucket"],
+            lambda f: f.groupby(["g", "bucket"], sort=False)["n"]
+            .sum().reset_index(),
+        ).to_pandas()
     h = (
         hp.groupby(["g", "bucket"], sort=True)["n"].sum().reset_index()
         .sort_values(["g", "bucket"])
@@ -739,10 +695,6 @@ def pivot_counts(
     the SQL GROUP BY over all rows.  Keys must be integers (the engine's
     id convention — hash string keys first, as the dedup stages do).
     """
-    import ray
-
-    if n_buckets is None:
-        n_buckets = _default_buckets()
     cats = list(categories)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -764,20 +716,14 @@ def pivot_counts(
         cols = {key_col: pa.array(key, type=pa.int64())}
         for c in cats:
             cols[c] = pa.array(wide[c].to_numpy(np.int64), type=pa.int64())
-        cols["__bucket"] = pa.array(
-            (key.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        )
         return pa.table(cols)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(key_col, sort=False)[cats].sum().reset_index()
         return agg.astype({c: np.int64 for c in [key_col, *cats]})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key_col,
+                    reduce_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -1020,10 +966,8 @@ def grouped_count_distinct(ds: rd.Dataset, group: str, val: str,
     partials.  SQL semantics: NULL ``val`` rows don't count; a NULL
     ``group`` is its own group.  Exactness makes this the oracle-backed
     complement of :func:`hll_distinct_grouped` (q48/q71)."""
-    from ..functions.hashing import hash_strings
     from .joins import _arrow_fields
 
-    n_buckets = n_buckets or _default_buckets()
     gtype, vtype = _pinned_types(ds, group, val)
 
     def part(t: pa.Table) -> pa.Table:
@@ -1034,19 +978,14 @@ def grouped_count_distinct(ds: rd.Dataset, group: str, val: str,
         # but they keep an all-NULL group ALIVE so it reports
         # n_distinct=0 like SQL, instead of vanishing from the output
         df = df.drop_duplicates()
-        # deterministic pair bucket: string-render both sides (stable
-        # across processes, unlike Python hash)
-        pair = (df[group].astype(str) + "\x1f" + df["__v"].astype(str))
-        b = (hash_strings(pair.to_numpy(dtype=object))
-             % np.uint64(n_buckets)).astype(np.int64)
         # pin the arrow types from the DATASET's unified schema: an
         # all-NULL partition would otherwise infer type 'null' and
         # conflict with other blocks' schema in the groupby exchange
+        # (and hash down another path in the pair-keyed exchange)
         return pa.table(
             {
                 group: pa.Array.from_pandas(df[group], type=gtype),
                 "__v": pa.Array.from_pandas(df["__v"], type=vtype),
-                "__bucket": pa.array(b, type=pa.int64()),
             }
         )
 
@@ -1061,12 +1000,9 @@ def grouped_count_distinct(ds: rd.Dataset, group: str, val: str,
         out["n_distinct"] = out["n_distinct"].astype(np.int64)
         return out[[group, "n_distinct"]]
 
-    parts = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(count_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange(ds.map_batches(part, batch_format="pyarrow"),
+                     [group, "__v"], count_bucket,
+                     n_buckets=n_buckets).to_pandas()
     if not len(parts):
         return pd.DataFrame({group: pd.Series(dtype=object),
                              "n_distinct": pd.Series(dtype=np.int64)})
@@ -1227,9 +1163,6 @@ def grouped_mode(ds: rd.Dataset, group: str, val: str,
     ASC default) but wins when strictly most frequent.
 
     Returns (group, mode_val, n) sorted by group."""
-    from ..functions.hashing import hash_strings
-
-    n_buckets = n_buckets or _default_buckets()
     gtype, vtype = _pinned_types(ds, group, val)
 
     def part(t: pa.Table) -> pa.Table:
@@ -1237,8 +1170,6 @@ def grouped_mode(ds: rd.Dataset, group: str, val: str,
                            "__v": t[val].to_pandas()})
         c = (df.groupby([group, "__v"], sort=False, dropna=False)
              .size().rename("cnt").reset_index())
-        b = (hash_strings(c[group].astype(str).to_numpy(dtype=object))
-             % np.uint64(n_buckets)).astype(np.int64)
         # pin the arrow types from the DATASET's unified schema
         # (all-NULL partition would infer 'null' and break the
         # groupby's block schema)
@@ -1247,7 +1178,6 @@ def grouped_mode(ds: rd.Dataset, group: str, val: str,
                 group: pa.Array.from_pandas(c[group], type=gtype),
                 "__v": pa.Array.from_pandas(c["__v"], type=vtype),
                 "cnt": pa.array(c["cnt"].to_numpy(np.int64)),
-                "__bucket": pa.array(b, type=pa.int64()),
             }
         )
 
@@ -1265,12 +1195,8 @@ def grouped_mode(ds: rd.Dataset, group: str, val: str,
                              "mode_val": m["__v"],
                              "n": m["cnt"].astype(np.int64)})
 
-    out = (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pick, batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(ds.map_batches(part, batch_format="pyarrow"), group, pick,
+                   n_buckets=n_buckets).to_pandas()
     if not len(out):
         return pd.DataFrame({group: pd.Series(dtype=object),
                              "mode_val": pd.Series(dtype=object),

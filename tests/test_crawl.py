@@ -1206,7 +1206,6 @@ class TestCutoffPullTransport:
             CutoffPool,
             pull_cutoffs_for,
         )
-        import ray as _ray
 
         n_hosts = 50_000
         per_host = 3
@@ -1229,7 +1228,6 @@ class TestCutoffPullTransport:
                 "skip_until_round": np.full(n, -1, dtype=np.int32),
             }
         )
-        robots_ref = _ray.put({})
         pool = CutoffPool(4, None, round_ms=1000,
                           default_delay_ms=0, max_per_host=1)
         try:

@@ -281,22 +281,57 @@ def test_hash_join_outer_matches_pandas(ray_session, n_buckets):
     assert 4 in set(out["k"]) and {3, 5} <= set(out["k"])
 
 
-def test_hash_join_outer_null_keys_dropped(ray_session):
-    # contract parity with every other mode: null-key rows join nothing
-    # and are excluded from the output entirely
+def _null_rows(df, cols):
+    """Rows as sorted tuples with every null as None and integral
+    numbers as int — the engine and DuckDB spell a null int key as NaN
+    (float64) and a null string as None."""
+    def norm(x):
+        if x is None or (isinstance(x, float) and np.isnan(x)):
+            return None
+        return int(x) if isinstance(x, (int, float, np.number)) else x
+    rows = [tuple(norm(v) for v in r) for r in df[cols].itertuples(index=False)]
+    return sorted(rows, key=repr)
+
+
+@pytest.mark.parametrize("keys", [
+    pd.array([1, None, 3, None, 5, 1], dtype="Int64"),
+    ["a", None, "c", None, "e", "a"],
+], ids=["int", "str"])
+def test_hash_join_null_keys_match_duckdb(ray_session, keys):
+    # SQL: a NULL key never matches, but modes that keep unmatched rows
+    # keep null-key rows (left/anti: the left's; outer: both sides')
+    import duckdb
+
     from ethereum_raw_data_crawler_ray.stages.joins import hash_join
 
-    left = pd.DataFrame({"k": pd.array([1, None, 3], dtype="Int64"),
-                         "lv": np.arange(3, dtype=np.int64)})
-    right = pd.DataFrame({"k": pd.array([1, None], dtype="Int64"),
-                          "rv": np.array([10, 99], dtype=np.int64)})
-    out = hash_join(
-        rd.from_pandas(left), rd.from_pandas(right),
-        on="k", right_cols=["rv"], how="outer",
-        fill_value={"lv": -1, "rv": -1},
-    ).to_pandas()
-    assert sorted(out["k"].tolist()) == [1, 3]
-    assert 99 not in set(out["rv"])
+    rkeys = (pd.array([1, None, 5, 7, None], dtype="Int64")
+             if isinstance(keys, pd.arrays.IntegerArray)
+             else ["a", None, "e", "g", None])
+    l = pd.DataFrame({"k": keys, "lv": np.arange(6, dtype=np.int64)})
+    r = pd.DataFrame({"k": rkeys, "rv": np.array([10, 20, 50, 70, 90])})
+    sql = {
+        "inner": "SELECT k, lv, rv FROM l JOIN r USING (k)",
+        "left": "SELECT k, lv, COALESCE(rv, -1) AS rv "
+                "FROM l LEFT JOIN r USING (k)",
+        "outer": "SELECT k, COALESCE(lv, -1) AS lv, COALESCE(rv, -1) AS rv "
+                 "FROM l FULL JOIN r USING (k)",
+        "semi": "SELECT k, lv FROM l "
+                "WHERE EXISTS (SELECT 1 FROM r WHERE r.k = l.k)",
+        "anti": "SELECT k, lv FROM l "
+                "WHERE NOT EXISTS (SELECT 1 FROM r WHERE r.k = l.k)",
+    }
+    fills = {"left": {"rv": -1}, "outer": {"lv": -1, "rv": -1}}
+    for how, q in sql.items():
+        cols = ["k", "lv"] if how in ("semi", "anti") else ["k", "lv", "rv"]
+        got = hash_join(
+            rd.from_pandas(l), rd.from_pandas(r), on="k",
+            right_cols=[] if how in ("semi", "anti") else ["rv"], how=how,
+            fill_value=fills.get(how), n_buckets=4,
+        ).to_pandas()
+        want = duckdb.sql(q).fetchdf()
+        assert _null_rows(got, cols) == _null_rows(want, cols), how
+        for c in cols[1:]:
+            assert got[c].dtype == np.int64, (how, c)
 
 
 def test_hash_join_semi_anti_partition(ray_session):
@@ -841,8 +876,8 @@ class TestNullCountInvariantRouting:
         assert sorted(semi["k"].tolist()) == ["a"]
         anti = hash_join(left, right, on="k", right_cols=[],
                          how="anti").to_pandas()
-        # documented contract: null-key rows appear in NO mode's output
-        assert sorted(anti["k"].tolist()) == ["b"]
+        # NOT EXISTS keeps the left's null-key row: it matches nothing
+        assert sorted(anti["k"].tolist(), key=repr) == ["b", None]
 
     def test_cents_tag_rejects_null_values_loudly(self, ray_session):
         import numpy as np
@@ -1392,3 +1427,117 @@ def test_cohort_retention_normalized(ray_session):
         out["retention"].to_numpy(),
         out["n_users"].to_numpy(np.float64)
         / out["cohort_size"].to_numpy(np.float64))
+
+
+class TestExchange:
+    """``exchange`` is the one key→bucket decision: every row of a key
+    lands in one bucket whatever the batch it arrives in."""
+
+    @staticmethod
+    def _key_buckets(ds, keys, n_buckets=7):
+        from ethereum_raw_data_crawler_ray.stages.joins import exchange
+
+        def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+            out = g[keys].drop_duplicates().copy()
+            out["bucket"] = g["__bucket"].iloc[0] if len(g) else 0
+            return out
+
+        return exchange(ds, keys, per_bucket, n_buckets=n_buckets).to_pandas()
+
+    def test_nullable_int_key_one_bucket_across_null_batches(self, ray_session):
+        import pyarrow as pa
+
+        # key 3 and key 1 arrive in a null-free batch AND in a batch with
+        # nulls (which pandas would float); each key — null included —
+        # must come out of exactly one bucket
+        ta = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
+        tb = pa.table({"k": pa.array([3, None, 1, None], pa.int64())})
+        out = self._key_buckets(rd.from_arrow([ta, tb]), ["k"])
+        per_key = out.groupby("k", dropna=False).size()
+        assert len(per_key) == 4  # 1, 2, 3, null
+        assert (per_key == 1).all()
+
+    def test_two_column_key(self, ray_session):
+        import pyarrow as pa
+
+        from ethereum_raw_data_crawler_ray.stages.joins import _bucket_of
+
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 6, 300)
+        b = rng.integers(0, 6, 300)
+        tabs = [pa.table({"a": a[i:i + 100], "b": b[i:i + 100]})
+                for i in range(0, 300, 100)]
+        out = self._key_buckets(rd.from_arrow(tabs), ["a", "b"])
+        assert not out.duplicated(["a", "b"]).any()
+        assert len(out) == len(set(zip(a, b)))
+        want = _bucket_of([out["a"].to_numpy(np.int64),
+                           out["b"].to_numpy(np.int64)], 7)
+        assert (out["bucket"].to_numpy() == want).all()
+        assert len(np.unique(want)) > 1  # the pairs do spread out
+        # (a, b) and (b, a) are different keys and hash apart
+        x = np.array([1, 2], np.int64)
+        y = np.array([2, 1], np.int64)
+        assert _bucket_of([x, y], 1 << 20)[0] != _bucket_of([y, x], 1 << 20)[0]
+
+    def test_string_key(self, ray_session):
+        import pyarrow as pa
+
+        ta = pa.table({"k": pa.array(["x", "y", None, "z"])})
+        tb = pa.table({"k": pa.array(["z", "x", None, "w"])})
+        out = self._key_buckets(rd.from_arrow([ta, tb]), ["k"])
+        per_key = out.groupby("k", dropna=False).size()
+        assert len(per_key) == 5  # w, x, y, z, null
+        assert (per_key == 1).all()
+
+    def test_empty_input(self, ray_session):
+        import pyarrow as pa
+
+        empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+        assert len(self._key_buckets(empty, ["k"])) == 0
+
+    def test_bucket_of_is_mix64_on_int_keys(self):
+        from ethereum_raw_data_crawler_ray.functions.hashing import mix64
+        from ethereum_raw_data_crawler_ray.stages.joins import _bucket_of
+
+        x = np.random.default_rng(9).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10_000,
+            dtype=np.int64)
+        for n in (1, 7, 16, 1000):
+            assert (_bucket_of(x, n)
+                    == (mix64(x) % np.uint64(n)).astype(np.int64)).all()
+
+
+def test_funnel_string_users_keep_string_dtype(ray_session):
+    # buckets whose users never reach stage 1 return the empty frame; its
+    # user column must be strings like every other block, not int64
+    import ray
+
+    from ethereum_raw_data_crawler_ray.stages.joins import (
+        _bucket_of,
+        funnel_stages,
+    )
+
+    users = [f"u{i}" for i in range(12)]
+    rows = [("u0", 1, "view"), ("u0", 2, "buy"), ("u1", 3, "view")]
+    rows += [(u, 10 + i, "buy") for i, u in enumerate(users[2:])]
+    df = pd.DataFrame(rows, columns=["user", "ts", "type"])
+    n = 16
+    b = _bucket_of(np.array(users, dtype=object), n)
+    # precondition: some bucket holds only users without a "view" event
+    assert set(b[2:]) - set(b[:2])
+
+    def blocks(frame):
+        ds = funnel_stages(rd.from_pandas(frame).repartition(4), user="user",
+                           ts_col="ts", type_col="type",
+                           stages=["view", "buy"], n_buckets=n)
+        return ray.get(ds.to_pandas_refs())
+
+    # no user reaches stage 1: every bucket returns the empty frame
+    none = blocks(df[df["type"] == "buy"])
+    assert none and all(len(x) == 0 for x in none)
+    for x in none + blocks(df):
+        assert x["user"].dtype == object
+        assert all(isinstance(u, str) for u in x["user"])
+    out = pd.concat(blocks(df)).sort_values("user").reset_index(drop=True)
+    assert out["user"].tolist() == ["u0", "u1"]
+    assert out["depth"].tolist() == [2, 1]
