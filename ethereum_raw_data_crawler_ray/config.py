@@ -56,10 +56,8 @@ class CrawlConfig:
     # --- execution sizing -------------------------------------------------
     extract_batch_size: int = 2_048     # html is wide; keep batches bounded
 
-    # --- determinism ------------------------------------------------------
     # frontier ordering is the fixed comparator state.politeness.ORDER_COLS
     # (priority, depth, warc_ts, url_hash) — not configurable: the golden
     # oracle, cutoff actors and gate must all agree on it
-    seed: int = 42
 
     extra: dict = field(default_factory=dict)

@@ -46,19 +46,24 @@ import ray.data as rd
 from ..config import CrawlConfig
 from ..functions.hashing import hash_strings
 from ..functions.urlnorm import normalize_many
-from ..schema import FRONTIER, LINEAGE
+from ..schema import FRONTIER, LINEAGE, frontier_table
 from ..stages.fetch import STATUS_ERROR, STATUS_FETCHED, build_fetch_index
+from ..stages.roundstep import lineage_counts, round_task
 from ..state.politeness import (
-    GATE_DEFER,
-    GATE_FETCH,
-    GATE_ROBOTS,
-    GATE_SKIPPED,
     CutoffPool,
+    errors_by_shard,
     load_robots,
+    offer_candidates,
+    salt_count_for,
 )
-from ..state.pool import StatePool
+from ..state.pool import StatePool, url_owner
 from ..state.seen import ActorSeenSet
 from ..state.store import ActorPageStore
+
+# finalized cutoffs up to this many go to the round tasks as ONE
+# broadcast dict (fewer RPCs — the single-node fast path); more stay
+# resident on their shards and each batch pulls its slice
+MAX_CUTOFF_BROADCAST = 500_000
 
 
 def _commit(final_dir: str, table: pa.Table | None = None, fill=None) -> None:
@@ -81,20 +86,8 @@ def frontier_from_seeds(seeds: pa.Table) -> pa.Table:
     """Seed list → frontier rows (analog of START_BLOCK_NUMBER bootstrap,
     crawler_service.go:199-226). Malformed seed URLs are dropped."""
     urls, hosts, ok = normalize_many(seeds["url"].to_pylist())
-    t = pa.table(
-        {
-            "url": pa.array(urls, type=pa.string()),
-            "url_hash": pa.array(hash_strings(urls), type=pa.uint64()),
-            "host": pa.array(hosts, type=pa.string()),
-            "priority": seeds["priority"].cast(pa.int32()),
-            "depth": seeds["depth"].cast(pa.int32()),
-            "warc_ts": pa.array(np.zeros(len(urls), dtype=np.int64), type=pa.timestamp("us")),
-            "attempts": pa.array(np.zeros(len(urls), dtype=np.int32), type=pa.int32()),
-            "skip_until_round": pa.array(np.full(len(urls), -1, dtype=np.int32), type=pa.int32()),
-        },
-        schema=FRONTIER,
-    )
-    return t.filter(pa.array(ok))
+    return frontier_table(urls[ok], hosts[ok], seeds["priority"].to_numpy()[ok],
+                          seeds["depth"].to_numpy()[ok], 0)
 
 
 class CrawlPipeline:
@@ -318,16 +311,29 @@ class CrawlPipeline:
         os.replace(tmp, self._hot_path(r))
 
     def _hot_next(self, host_counts: dict) -> dict:
-        from ..state.politeness import salt_count_for
-
-        cfg = self.cfg
-        base = max(1, int(cfg.extra.get("host_salt", 1)))
         out = {}
         for h, c in host_counts.items():
-            n = salt_count_for(c, cfg.host_skew_threshold, base)
-            if n > base:
+            n = salt_count_for(c, self.cfg.host_skew_threshold, self._n_salt)
+            if n > self._n_salt:
                 out[h] = n
         return out
+
+    @property
+    def _n_salt(self) -> int:
+        """The global host-salt base (``extra["host_salt"]``)."""
+        return max(1, int(self.cfg.extra.get("host_salt", 1)))
+
+    def _politeness_kwargs(self) -> dict:
+        """The budget and routing arguments every offer and round task
+        shares."""
+        cfg = self.cfg
+        return dict(
+            round_ms=cfg.round_ms,
+            default_delay_ms=cfg.default_crawl_delay_ms,
+            max_per_host=cfg.max_per_host_round,
+            n_salt=self._n_salt,
+            cutoff_handles=self.cutoff_pool.handles,
+        )
 
     def _backfill_offers(self, r: int) -> None:
         """Stream politeness offers for round ``r`` from its frontier
@@ -338,21 +344,11 @@ class CrawlPipeline:
         if self._frontier_count(r) == 0:
             return
         src = self._frontier_source(r)
-        cfg = self.cfg
-        kwargs = dict(
-            robots_ref=self.robots_ref,
-            round_no=r,
-            round_ms=cfg.round_ms,
-            default_delay_ms=cfg.default_crawl_delay_ms,
-            max_per_host=cfg.max_per_host_round,
-            n_salt=max(1, int(cfg.extra.get("host_salt", 1))),
-            cutoff_handles=self.cutoff_pool.handles,
-            hot=self._load_hot(r),
-        )
+        kwargs = dict(self._politeness_kwargs(), robots_ref=self.robots_ref,
+                      round_no=r, hot=self._load_hot(r))
 
         def offers_only(df: pd.DataFrame, **kw) -> pa.Table:
             from ..functions.broadcast import get_broadcast
-            from ..state.politeness import offer_candidates
 
             kw = dict(kw)
             kw["robots"] = get_broadcast(kw.pop("robots_ref"))
@@ -377,24 +373,10 @@ class CrawlPipeline:
         hosts = np.asarray(t["host"].to_pandas(), dtype=object)
         rl = np.asarray(t["error_class"].to_pandas(), dtype=object) == "rate_limit"
         handles = self.cutoff_pool.handles
-        k = len(handles)
-        if len(hosts):
-            uh = np.unique(hosts)
-            owner = hash_strings(list(uh)) % np.uint64(k)
-            per_host = {
-                str(h): (
-                    int(((hosts == h) & ~rl).sum()),
-                    int(((hosts == h) & rl).sum()),
-                )
-                for h in uh
-            }
-        else:
-            uh, owner, per_host = np.array([]), np.array([]), {}
-        refs = []
-        for j in range(k):
-            counts = {str(h): per_host[str(h)] for h, o in zip(uh, owner) if o == j}
-            refs.append(handles[j].set_errors.remote(r, counts))
-        ray.get(refs)
+        per_shard = errors_by_shard(hosts, rl, len(handles))
+        # an authoritative overwrite: shards with no errors are set too
+        ray.get([h.set_errors.remote(r, per_shard.get(j, {}))
+                 for j, h in enumerate(handles)])
 
     # --- incremental ingest (watch mode — the WS-push analog of
     #     websocket_scheduler.go:110-130: newly published pages are picked
@@ -515,8 +497,7 @@ class CrawlPipeline:
                 continue
             tables.append(t)
             # append to the fetch index under deterministic names
-            h = hash_strings(t["url"])
-            buckets = (h % np.uint64(cfg.n_fetch_buckets)).astype(np.int64)
+            buckets = url_owner(hash_strings(t["url"]), cfg.n_fetch_buckets)
             for b in np.unique(buckets):
                 dest_dir = os.path.join(cfg.index_dir, f"bucket={b}")
                 os.makedirs(dest_dir, exist_ok=True)
@@ -533,24 +514,8 @@ class CrawlPipeline:
             """Normalized frontier rows for THIS round (depth r,
             deterministic — warc_ts from the push or epoch 0)."""
             urls, hosts, ok = normalize_many(url_list)
-            n = int(ok.sum())
-            ts = (ts_us[ok] if ts_us is not None
-                  else np.zeros(n, dtype=np.int64))
-            pr = (prio[ok] if prio is not None
-                  else np.zeros(n, dtype=np.int32))
-            return pa.table(
-                {
-                    "url": pa.array(urls[ok], type=pa.string()),
-                    "url_hash": pa.array(hash_strings(urls[ok]), type=pa.uint64()),
-                    "host": pa.array(hosts[ok], type=pa.string()),
-                    "priority": pa.array(pr.astype(np.int32)),
-                    "depth": pa.array(np.full(n, r, dtype=np.int32)),
-                    "warc_ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
-                    "attempts": pa.array(np.zeros(n, dtype=np.int32)),
-                    "skip_until_round": pa.array(np.full(n, -1, dtype=np.int32)),
-                },
-                schema=FRONTIER,
-            )
+            return frontier_table(urls[ok], hosts[ok], 0 if prio is None else prio[ok],
+                                  r, 0 if ts_us is None else ts_us[ok])
 
         fts = []
         # pages channel (newHeads analog): payload + frontier. Frontier
@@ -657,19 +622,8 @@ class CrawlPipeline:
         self._fplan_cache.pop(r, None)
 
         if len(ft):
-            from ..state.politeness import offer_candidates
-
-            offer_candidates(
-                ft.to_pandas(),
-                robots=self._robots,
-                round_no=r,
-                round_ms=cfg.round_ms,
-                default_delay_ms=cfg.default_crawl_delay_ms,
-                max_per_host=cfg.max_per_host_round,
-                n_salt=max(1, int(cfg.extra.get("host_salt", 1))),
-                cutoff_handles=self.cutoff_pool.handles,
-                hot=self._load_hot(r),
-            )
+            offer_candidates(ft.to_pandas(), robots=self._robots, round_no=r,
+                             hot=self._load_hot(r), **self._politeness_kwargs())
         return len(ft)
 
     def _reclaim_ingest(self, r: int) -> None:
@@ -729,8 +683,6 @@ class CrawlPipeline:
         separate read stage, no extra stamp stage — the per-round fixed
         cost is one execution launch plus the atomic write rename (r02
         verdict #1)."""
-        from ..stages.roundstep import round_task
-
         self._heal_seen(r)
         cfg = self.cfg
         t0 = time.perf_counter()
@@ -749,23 +701,14 @@ class CrawlPipeline:
         hot_r = self._load_hot(r)
         # shard-resident collect (r04 verdict #3): cutoffs stay on their
         # shards; the driver sees one count per shard plus the hot-host
-        # subset (flat in active-host count). Transport: "auto" ships a
-        # small total as ONE broadcast dict (fewer RPCs in the round
-        # tasks — the single-node fast path) and leaves a large one
-        # resident for per-batch slice pulls; "broadcast"/"pull" force.
-        base_salt = max(1, int(cfg.extra.get("host_salt", 1)))
+        # subset (flat in active-host count), and fetches the cutoffs
+        # only when they are few enough to broadcast
         n_cutoffs, hot_counts = self.cutoff_pool.finalize(
-            r, cfg.host_skew_threshold, base_salt
+            r, cfg.host_skew_threshold, self._n_salt
         )
         hot_next = self._hot_next(hot_counts)
         self._save_hot(r + 1, hot_next)  # persisted BEFORE the round runs
-        transport = cfg.extra.get("cutoff_transport", "auto")
-        if transport not in ("auto", "broadcast", "pull"):
-            raise ValueError(f"unknown cutoff_transport {transport!r}")
-        max_bc = int(cfg.extra.get("max_cutoff_broadcast", 500_000))
-        cutoff_pull = transport == "pull" or (
-            transport == "auto" and n_cutoffs > max_bc
-        )
+        cutoff_pull = n_cutoffs > MAX_CUTOFF_BROADCAST
         cutoffs_ref = ray.put(
             {} if cutoff_pull else self.cutoff_pool.fetch_ready(r)
         )
@@ -778,16 +721,12 @@ class CrawlPipeline:
             robots_ref=self.robots_ref,
             store_handles=self.store.handles,
             seen_handles=self.seen.handles,
-            cutoff_handles=self.cutoff_pool.handles,
-            round_ms=cfg.round_ms,
-            default_delay_ms=cfg.default_crawl_delay_ms,
-            max_per_host=cfg.max_per_host_round,
-            n_salt=max(1, int(cfg.extra.get("host_salt", 1))),
             max_retries=cfg.max_retries,
             skip_rounds=cfg.skip_rounds,
             error_permille=int(cfg.extra.get("error_permille", 0)),
             enrich=bool(cfg.extra.get("enrich", False)),
             error_backoff=bool(cfg.extra.get("error_backoff", False)),
+            **self._politeness_kwargs(),
         )
         # ~4 waves of equal-sized tasks: the parquet files' natural sizes
         # follow the producing tasks' skew (carry vs discovered files
@@ -905,32 +844,24 @@ class CrawlPipeline:
 
     def _lineage_bincounts(self, rounds_dir: str) -> np.ndarray:
         """Driver-side fallback: thin-column read of the round output →
-        per-seen-shard bincount matrix, rows = [scheduled, fetched,
-        deferred, failed, errors]. A round normally gets the SAME matrix
-        from the per-batch reports accumulated on the cutoff shards
-        during the round (roundstep.py:5b — nothing corpus-sized ever
+        per-seen-shard :func:`lineage_counts` matrix. A round normally
+        gets the SAME matrix from the per-batch reports accumulated on
+        the cutoff shards during the round (roundstep 5b, the same
+        function over each batch — nothing corpus-sized ever
         crosses the driver); this path serves the shard-restart-mid-round
         case where reports were lost."""
         t = pads.dataset(rounds_dir, format="parquet", partitioning="hive").to_table(
             columns=["url_hash", "gate", "status", "row_kind"]
         )
-        page = np.asarray(t["row_kind"].to_pandas(), dtype=object) == "page"
-        gate = np.asarray(t["gate"].to_pandas(), dtype=object)
-        status = np.asarray(t["status"].to_pandas(), dtype=object)
-        n = self.cfg.n_seen_shards
-        shard = (
-            np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64) % np.uint64(n)
-        ).astype(np.int64)
-        masks = [
-            page & (gate == GATE_FETCH),
-            page & (gate == GATE_FETCH) & (status == STATUS_FETCHED),
-            (gate == GATE_DEFER) | (gate == GATE_SKIPPED),
-            page & (gate == GATE_ROBOTS),
-            page & (gate == GATE_FETCH) & (status == STATUS_ERROR),
-        ]
-        return np.stack(
-            [np.bincount(shard[m], minlength=n) for m in masks]
-        ).astype(np.int64)
+
+        def col(name):
+            return np.asarray(t[name].to_pandas(), dtype=object)
+
+        return lineage_counts(
+            np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64),
+            col("row_kind") == "page", col("gate"), col("status"),
+            self.cfg.n_seen_shards,
+        )
 
     def _write_health(self, r: int) -> None:
         """Per-round component-health rows — the SystemHealth analog

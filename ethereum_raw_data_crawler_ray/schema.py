@@ -10,7 +10,10 @@ the reference's hex-sanitization of raw bytes (``sanitizeData``,
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+
+from .functions.hashing import hash_strings
 
 # the input_hint table: Common-Crawl-style pages (BASELINE.json)
 PAGES = pa.schema(
@@ -38,6 +41,32 @@ FRONTIER = pa.schema(
         ("skip_until_round", pa.int32()),  # analog of skippedBlocks[ts]+skipDuration
     ]
 )
+
+
+def frontier_table(urls, hosts, priority, depth, warc_ts, url_hash=None) -> pa.Table:
+    """Fresh FRONTIER rows (no attempts, no skip window) from normalized
+    ``urls``/``hosts``. ``priority``, ``depth`` and ``warc_ts`` (epoch
+    microseconds) are per-row arrays or one value for every row;
+    ``url_hash`` defaults to ``hash_strings(urls)``."""
+    n = len(urls)
+
+    def col(v, dtype):
+        return np.broadcast_to(np.asarray(v), n).astype(dtype)
+
+    return pa.table(
+        {
+            "url": pa.array(urls, type=pa.string()),
+            "url_hash": pa.array(
+                hash_strings(urls) if url_hash is None else url_hash, type=pa.uint64()),
+            "host": pa.array(hosts, type=pa.string()),
+            "priority": pa.array(col(priority, np.int32)),
+            "depth": pa.array(col(depth, np.int32)),
+            "warc_ts": pa.array(col(warc_ts, np.int64)).cast(pa.timestamp("us")),
+            "attempts": pa.array(np.zeros(n, dtype=np.int32)),
+            "skip_until_round": pa.array(np.full(n, -1, dtype=np.int32)),
+        },
+        schema=FRONTIER,
+    )
 
 # stored page output — analog of the transactions collection write
 # (transaction_repository_impl.go:91-106) plus crawl metadata stamps

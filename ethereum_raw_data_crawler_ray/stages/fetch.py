@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..functions.extract import extract_batch
 from ..functions.hashing import hash_strings
+from ..state.pool import url_owner
 
 STATUS_FETCHED = "fetched"
 STATUS_ERROR = "error"
@@ -43,8 +44,7 @@ def build_fetch_index(pages_path: str, index_dir: str, n_buckets: int) -> str:
         return index_dir
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        h = hash_strings(t["url"])
-        bucket = (h % np.uint64(n_buckets)).astype(np.int64)
+        bucket = url_owner(hash_strings(t["url"]), n_buckets)
         return t.append_column("bucket", pa.array(bucket, type=pa.int64()))
 
     (

@@ -149,12 +149,14 @@ def _key_for_hash(col) -> np.ndarray:
     splitting one key across buckets (or Bloom-dropping a matching row —
     a false NEGATIVE).  Dispatch on the ARROW type, which is stable
     across batches: integer types cast to int64 with nulls replaced by
-    the ``_NULL_KEY`` sentinel; everything else takes the plain numpy
-    conversion (its dtype is already batch-invariant)."""
+    the ``_NULL_KEY`` sentinel (a uint64 value ≥ 2^63 keeps its bits as
+    a negative int64, so it hashes like the uint64 it is); everything
+    else takes the plain numpy conversion (its dtype is already
+    batch-invariant)."""
     import pyarrow.compute as pc
 
     if pa.types.is_integer(col.type):
-        filled = pc.fill_null(pc.cast(col, pa.int64()), _NULL_KEY)
+        filled = pc.fill_null(pc.cast(col, pa.int64(), safe=False), _NULL_KEY)
         if isinstance(filled, pa.ChunkedArray):
             filled = filled.combine_chunks()
         return filled.to_numpy(zero_copy_only=False)

@@ -18,11 +18,13 @@ Every crawl round runs this stage: for each frontier batch the task
 
 The end-of-execution barrier makes steps 4/5 complete before round r+1
 starts; every side effect is deterministic and replay-safe under task
-retry: offers are top-k unions (re-offering is a no-op), and seen claims
-carry a content-derived claim token logged per round, so a retried task
-gets novel=True again for the rows it already claimed instead of
-silently dropping them (see ``state.seen.claim_token``). One Ray
-execution per round total.
+retry: a cutoff shard keeps identical offered order tuples once, so a
+re-offered batch cannot move a cutoff; host-count, error and lineage
+reports are keyed by the batch token, so a retry overwrites its own
+report; and seen claims carry a content-derived claim token logged per
+round, so a retried task gets novel=True again for the rows it already
+claimed instead of silently dropping them (see
+``state.seen.claim_token``). One Ray execution per round total.
 
 The store, seen and cutoff shards are roles of one state actor pool
 (state/pool.py): ``store_handles[j]``, ``seen_handles[j]`` and
@@ -38,7 +40,7 @@ import pyarrow as pa
 
 from ..functions.hashing import hash_strings
 from ..functions.urlnorm import normalize_many
-from ..schema import FRONTIER
+from ..schema import FRONTIER, frontier_table
 from ..state.politeness import (
     GATE_DEFER,
     GATE_FETCH,
@@ -47,6 +49,7 @@ from ..state.politeness import (
     gate_full,
     offer_candidates,
 )
+from ..state.pool import url_owner
 from .fetch import STATUS_ERROR, STATUS_FETCHED, _assemble, transient_fail_mask
 
 ROW_PAGE = "page"
@@ -88,23 +91,25 @@ def _explode_outlinks(t: pa.Table, *, round_no: int) -> pa.Table:
             else:
                 seen_local.add(norm[i])
     norm = norm[ok]
-    hosts = hosts[ok]
-    n = len(norm)
     h = hash_strings(norm)
     ts = _TS_BASE_US + (h % np.uint64(_TS_JITTER_US)).astype(np.int64)
-    return pa.table(
-        {
-            "url": pa.array(norm, type=pa.string()),
-            "url_hash": pa.array(h, type=pa.uint64()),
-            "host": pa.array(hosts, type=pa.string()),
-            "priority": pa.array(np.zeros(n, dtype=np.int32)),
-            "depth": pa.array(np.full(n, round_no + 1, dtype=np.int32)),
-            "warc_ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
-            "attempts": pa.array(np.zeros(n, dtype=np.int32)),
-            "skip_until_round": pa.array(np.full(n, -1, dtype=np.int32)),
-        },
-        schema=FRONTIER,
-    )
+    return frontier_table(norm, hosts[ok], 0, round_no + 1, ts, url_hash=h)
+
+
+def lineage_counts(url_hash, is_page, gate, status, n_shards: int) -> np.ndarray:
+    """Round rows → the lineage matrix: one row each for [scheduled,
+    fetched, deferred, failed, errors], one column per seen shard.
+    ``is_page`` marks page rows; ``status`` is None off them."""
+    shard = url_owner(url_hash, n_shards)
+    fetch = is_page & (gate == GATE_FETCH)
+    masks = [
+        fetch,
+        fetch & (status == STATUS_FETCHED),
+        (gate == GATE_DEFER) | (gate == GATE_SKIPPED),
+        is_page & (gate == GATE_ROBOTS),
+        fetch & (status == STATUS_ERROR),
+    ]
+    return np.stack([np.bincount(shard[m], minlength=n_shards) for m in masks]).astype(np.int64)
 
 
 def round_task(batch: pa.Table, *, round_no: int, **kwargs):
@@ -327,28 +332,12 @@ def round_step(
 
     # 5b. lineage bincounts for this batch — reported to a cutoff shard
     # keyed by the task token (retry-overwrite idempotent), so the driver
-    # never re-reads the round output to count (r02 verdict). Mirrors
-    # CrawlPipeline._lineage_bincounts exactly: rows = [scheduled,
-    # fetched, deferred, failed, errors] per seen shard.
-    n_seen = len(seen_handles)
-    page_hash = np.asarray(pages["url_hash"].to_pandas(), dtype=np.uint64)
-    page_shard = (page_hash % np.uint64(n_seen)).astype(np.int64)
-    df_shard = (
-        df["url_hash"].to_numpy(dtype=np.uint64) % np.uint64(n_seen)
-    ).astype(np.int64)
-    page_gate = np.asarray(pages["gate"].to_pandas(), dtype=object)
-    lin = np.stack(
-        [
-            np.bincount(page_shard[page_gate == GATE_FETCH], minlength=n_seen),
-            np.bincount(page_shard[status == STATUS_FETCHED], minlength=n_seen),
-            np.bincount(
-                df_shard[(gate == GATE_DEFER) | (gate == GATE_SKIPPED)],
-                minlength=n_seen,
-            ),
-            np.bincount(page_shard[page_gate == GATE_ROBOTS], minlength=n_seen),
-            np.bincount(page_shard[status == STATUS_ERROR], minlength=n_seen),
-        ]
-    ).astype(np.int64)
+    # never re-reads the round output to count. The same lineage_counts
+    # as CrawlPipeline._lineage_bincounts, over this batch's frontier rows.
+    df_status = np.full(len(df), None, dtype=object)
+    df_status[page_positions] = status
+    lin = lineage_counts(df["url_hash"].to_numpy(dtype=np.uint64), page_mask, gate,
+                         df_status, len(seen_handles))
     lin_ref = cutoff_handles[task_key % len(cutoff_handles)].report_lineage.remote(
         round_no, task_key, lin, len(df)
     )

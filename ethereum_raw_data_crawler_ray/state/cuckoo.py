@@ -40,7 +40,7 @@ def _next_pow2(x: int) -> int:
 
 def _splitmix64(h: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer. The raw url_hash's LOW bits are
-    consumed by shard routing (``seen.shard_of``: h % n_shards), fetch
+    consumed by shard routing (``pool.url_owner``: h % n_shards), fetch
     bucketing and salt keys — so within one shard the low bits are
     CONSTANT. Deriving i1 from them directly confines i1 to 1/n_shards of
     the buckets and the shard fills up (and raises) at a fraction of its

@@ -10,6 +10,15 @@ into logical shards:
 * the politeness cutoffs (:mod:`.politeness`) — cutoff shard j owns the
   hosts with ``hash(host) % n_cutoff == j``.
 
+Those are the two owner rules, and this module holds both:
+:func:`url_owner` (``url_hash % n`` — seen shards, store shards, the
+fetch-index buckets and the lineage shard columns) and
+:func:`host_owner` (``hash_strings(host) % k`` — cutoff shards). Every
+crawl-state scatter routes through :func:`groups` / :func:`scatter`:
+one call per shard that owns at least one row, shards in ascending
+order, each shard's rows in input order (claim tokens hash the
+per-shard sub-array, so that order is part of the contract).
+
 The role code is plain classes. One pool of
 ``max(n_store, n_seen, n_cutoff)`` :class:`StateShard` actors runs them:
 actor j hosts whichever of store shard j, seen shard j and cutoff shard
@@ -41,7 +50,38 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import ray
+
+from ..functions.hashing import hash_strings
+
+def url_owner(hashes, n: int) -> np.ndarray:
+    """Owner of each url hash among ``n`` shards or buckets."""
+    return (np.asarray(hashes, dtype=np.uint64) % np.uint64(n)).astype(np.int64)
+
+
+def host_owner(hosts, k: int) -> np.ndarray:
+    """Owner of each host among ``k`` cutoff shards."""
+    return (hash_strings(hosts) % np.uint64(k)).astype(np.int64)
+
+
+def groups(owner: np.ndarray):
+    """Yield ``(j, positions owned by j)`` for each shard j owning at
+    least one row: shards ascending, positions in input order."""
+    for j in np.flatnonzero(np.bincount(owner)):
+        yield int(j), np.flatnonzero(owner == j)
+
+
+def scatter(handles: list, owner: np.ndarray, call) -> tuple[list, list]:
+    """One ``call(handles[j], positions)`` per owning shard, without
+    waiting → (positions list, results list); with actor handles the
+    results are ObjectRefs."""
+    ixs, refs = [], []
+    for j, ix in groups(owner):
+        ixs.append(ix)
+        refs.append(call(handles[j], ix))
+    return ixs, refs
+
 
 # actor method → (role, role method)
 _FORWARD = {
@@ -65,7 +105,6 @@ _FORWARD = {
     "finalize_round": ("cutoff", "finalize_round"),
     "pull_cutoffs": ("cutoff", "pull_cutoffs"),
     "fetch_ready": ("cutoff", "fetch_ready"),
-    "reset": ("cutoff", "reset"),
     "cutoff_consume_fresh": ("cutoff", "consume_fresh"),
 }
 

@@ -6,7 +6,7 @@ before every write (``crawler_service.go:433-457``,
 crawl's state actor pool (state/pool.py): :class:`SeenShard` j owns one
 :class:`~.cuckoo.CuckooFilter` shard and runs in pool actor j next to
 that actor's page-store and cutoff shards. URLs route to the shard
-``url_hash % n_shards`` so each URL has exactly one authority — an
+``url_hash % n_shards`` (``pool.url_owner``) so each URL has exactly one authority — an
 anti-join of candidates against crawl history with no shuffle of the
 big side (SURVEY.md J5).
 
@@ -32,25 +32,24 @@ import numpy as np
 import ray
 
 from .cuckoo import CuckooFilter
-from .pool import RoleFacade, StatePool
+from .pool import RoleFacade, StatePool, scatter, url_owner
 
 
-def shard_of(hashes: np.ndarray, n_shards: int) -> np.ndarray:
-    return (hashes.astype(np.uint64) % np.uint64(n_shards)).astype(np.int64)
-
-
-def _scatter_gather(hashes: np.ndarray, n_shards: int, call) -> np.ndarray:
-    """Split ``hashes`` by owning shard, apply ``call(shard_id, sub)`` →
-    bool array per shard, reassemble in input order."""
-    out = np.zeros(len(hashes), dtype=bool)
-    if len(hashes) == 0:
-        return out
-    sid = shard_of(hashes, n_shards)
-    for j in range(n_shards):
-        ix = np.flatnonzero(sid == j)
-        if ix.size:
-            out[ix] = call(j, hashes[ix])
+def _gather_mask(ixs: list, results: list, n: int) -> np.ndarray:
+    """Per-shard bool results back in input order."""
+    out = np.zeros(n, dtype=bool)
+    for ix, res in zip(ixs, results):
+        out[ix] = res
     return out
+
+
+def _scatter_gather(handles: list, hashes: np.ndarray, call, get=list) -> np.ndarray:
+    """Split ``hashes`` by owning shard, ``call(handles[j], sub)`` → bool
+    array per shard (``get`` resolves the calls' results), reassembled
+    in input order."""
+    ixs, res = scatter(handles, url_owner(hashes, len(handles)),
+                       lambda h, ix: call(h, hashes[ix]))
+    return _gather_mask(ixs, get(res), len(hashes))
 
 
 class LocalSeenSet:
@@ -61,14 +60,11 @@ class LocalSeenSet:
         self.shards = [CuckooFilter(capacity_per_shard, seed=j) for j in range(n_shards)]
 
     def check_and_insert(self, hashes: np.ndarray) -> np.ndarray:
-        return _scatter_gather(
-            hashes, self.n_shards, lambda j, h: self.shards[j].check_and_insert_many(h)
-        )
+        return _scatter_gather(self.shards, hashes,
+                               lambda s, h: s.check_and_insert_many(h))
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
-        return _scatter_gather(
-            hashes, self.n_shards, lambda j, h: self.shards[j].contains_many(h)
-        )
+        return _scatter_gather(self.shards, hashes, lambda s, h: s.contains_many(h))
 
     def digests(self) -> list[bytes]:
         return [s.digest() for s in self.shards]
@@ -228,33 +224,15 @@ class ActorSeenSet(RoleFacade):
                  ckpt_root: str | None = None, pool: StatePool | None = None):
         self._host(pool, n_shards, capacity=capacity_per_shard, ckpt_root=ckpt_root)
 
+    def _call(self, method: str, hashes: np.ndarray) -> np.ndarray:
+        return _scatter_gather(self.handles, hashes,
+                               lambda h, sub: getattr(h, method).remote(sub), ray.get)
+
     def check_and_insert(self, hashes: np.ndarray) -> np.ndarray:
-        sid = shard_of(hashes, self.n_shards)
-        out = np.zeros(len(hashes), dtype=bool)
-        refs, ixs = [], []
-        handles = self.handles
-        for j in range(self.n_shards):
-            ix = np.flatnonzero(sid == j)
-            if ix.size:
-                refs.append(handles[j].check_and_insert.remote(hashes[ix]))
-                ixs.append(ix)
-        for ix, res in zip(ixs, ray.get(refs)):
-            out[ix] = res
-        return out
+        return self._call("check_and_insert", hashes)
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
-        sid = shard_of(hashes, self.n_shards)
-        out = np.zeros(len(hashes), dtype=bool)
-        refs, ixs = [], []
-        handles = self.handles
-        for j in range(self.n_shards):
-            ix = np.flatnonzero(sid == j)
-            if ix.size:
-                refs.append(handles[j].contains.remote(hashes[ix]))
-                ixs.append(ix)
-        for ix, res in zip(ixs, ray.get(refs)):
-            out[ix] = res
-        return out
+        return self._call("contains", hashes)
 
     def digests(self) -> list[bytes]:
         return ray.get([h.digest.remote() for h in self.handles])
@@ -270,14 +248,8 @@ class ActorSeenSet(RoleFacade):
         """Route ``hashes`` by owner and re-insert into the GIVEN shards
         only (gap-round claim replay after a shard restart; inserting an
         existing member is a no-op, so over-replay is safe)."""
-        sid = shard_of(hashes, self.n_shards)
-        handles = self.handles
-        refs = []
-        for j in shard_ids:
-            ix = np.flatnonzero(sid == j)
-            if ix.size:
-                refs.append(handles[j].check_and_insert.remote(hashes[ix]))
-        ray.get(refs)
+        self._call("check_and_insert",
+                   hashes[np.isin(url_owner(hashes, self.n_shards), shard_ids)])
 
     def save(self, dirpath: str) -> list[bytes]:
         os.makedirs(dirpath, exist_ok=True)
@@ -314,24 +286,13 @@ def claim_scatter_submit(
     salted by it, so a retried task replays its own claims instead of
     losing the rows, and two tasks with identical per-shard sub-arrays
     but different claim sets get different tokens (ADVICE r02)."""
-    n_shards = len(handles)
-    sid = shard_of(hashes, n_shards)
-    refs, ixs = [], []
-    for j in range(n_shards):
-        ix = np.flatnonzero(sid == j)
-        if ix.size:
-            sub = hashes[ix]
-            refs.append(
-                handles[j].check_and_insert.remote(
-                    sub, round_no, claim_token(sub, task_key)
-                )
-            )
-            ixs.append(ix)
+    ixs, refs = scatter(
+        handles, url_owner(hashes, len(handles)),
+        lambda h, ix: h.check_and_insert.remote(
+            hashes[ix], round_no, claim_token(hashes[ix], task_key)),
+    )
     return refs, ixs, len(hashes)
 
 
 def claim_scatter_finish(refs: list, ixs: list, n: int) -> np.ndarray:
-    novel = np.zeros(n, dtype=bool)
-    for ix, res in zip(ixs, ray.get(refs)):
-        novel[ix] = res
-    return novel
+    return _gather_mask(ixs, ray.get(refs), n)

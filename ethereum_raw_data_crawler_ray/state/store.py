@@ -39,7 +39,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.hashing import hash_strings
-from .pool import RoleFacade, StatePool
+from .pool import RoleFacade, StatePool, groups, scatter, url_owner
 
 
 class PageStoreShard:
@@ -66,14 +66,10 @@ class PageStoreShard:
         self._n_pages = 0
         # buckets are a finer partition than shards: shard j owns every
         # bucket b with b % n_shards == j (n_buckets must be a multiple)
-        paths = []
-        for b in range(n_buckets):
-            if b % n_shards != shard_id:
-                continue
-            paths.extend(
-                sorted(glob.glob(os.path.join(index_dir, f"bucket={b}", "*.parquet")))
-            )
-        self.load_files(paths)
+        self.load_files([
+            p for b in range(shard_id, n_buckets, n_shards)
+            for p in sorted(glob.glob(os.path.join(index_dir, f"bucket={b}", "*.parquet")))
+        ])
 
     # --- loading ----------------------------------------------------------
     def _load_file_preload(self, path: str) -> int:
@@ -218,29 +214,26 @@ class ActorPageStore(RoleFacade):
     def load_new_files(self, files_by_bucket: dict[int, list[str]]) -> int:
         """Route newly written per-bucket index files to their owning
         shards (bucket b → shard b % n_shards) and load them."""
-        per_shard: dict[int, list[str]] = {}
-        for b, paths in files_by_bucket.items():
-            per_shard.setdefault(b % self.n_shards, []).extend(paths)
+        buckets = list(files_by_bucket)
         handles = self.handles
-        refs = [handles[j].load_files.remote(paths) for j, paths in per_shard.items()]
-        return sum(ray.get(refs)) if refs else 0
+        refs = [
+            handles[j].load_files.remote(
+                [p for i in ix for p in files_by_bucket[buckets[i]]])
+            for j, ix in groups(url_owner(buckets, self.n_shards))
+        ]
+        return sum(ray.get(refs))
 
 
 def fetch_scatter(handles: list, urls: np.ndarray, hashes: np.ndarray) -> list:
     """Scatter urls to their owning store shards, gather results in input
     order. Uses the packed-buffer protocol; returns per-url
     (warc_ts_us, html_bytes, lang) tuples or None for misses."""
-    n_shards = len(handles)
     out: list = [None] * len(urls)
-    sid = (hashes.astype(np.uint64) % np.uint64(n_shards)).astype(np.int64)
-    refs, ixs = [], []
-    for j in range(n_shards):
-        ix = np.flatnonzero(sid == j)
-        if ix.size:
-            refs.append(handles[j].fetch_packed.remote([urls[i] for i in ix]))
-            ixs.append(ix)
+    ixs, refs = scatter(handles, url_owner(hashes, len(handles)),
+                        lambda h, ix: h.fetch_packed.remote([urls[i] for i in ix]))
     for ix, (found, ts, langs, offs, buf) in zip(ixs, ray.get(refs)):
-        for k, i in enumerate(ix):
+        ts, offs = ts.tolist(), offs.tolist()
+        for k, i in enumerate(ix.tolist()):
             if found[k]:
-                out[i] = (int(ts[k]), buf[offs[k]:offs[k + 1]], langs[k])
+                out[i] = (ts[k], buf[offs[k]:offs[k + 1]], langs[k])
     return out

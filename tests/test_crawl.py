@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from ethereum_raw_data_crawler_ray.config import CrawlConfig  # noqa: F401
+from ethereum_raw_data_crawler_ray.pipelines import crawl as crawl_mod
 from ethereum_raw_data_crawler_ray.pipelines.crawl import (
     CrawlPipeline,
     events_output,
@@ -632,6 +633,24 @@ class TestBalancedItems:
             assert got.equals(full.slice(off, ln)), (off, ln)
 
 
+class TestLineageCounts:
+    def test_driver_recount_equals_committed_lineage(self, crawl_run):
+        # round tasks report per-batch lineage_counts to the cutoff
+        # shards; the driver-side fallback recounts the committed round
+        # output with the same function — the two must agree every round
+        cfg, pipe, totals = crawl_run
+        lin = lineage_output(cfg.out_dir).to_pandas()
+        cols = ["urls_scheduled", "urls_fetched", "urls_deferred",
+                "urls_failed", "errors"]
+        assert sorted(lin["round"].unique()) == list(range(totals["rounds"]))
+        for r, want in lin.groupby("round"):
+            got = pipe._lineage_bincounts(
+                os.path.join(cfg.out_dir, "rounds", f"round_{r:05d}"))
+            want = want.sort_values("partition_id")[cols].to_numpy().T
+            assert got.shape == (5, cfg.n_seen_shards)
+            assert (got == want).all(), r
+
+
 class TestHealthOutput:
     def test_healthy_run_all_components_not_reconstructed(self, crawl_run):
         cfg, _, totals = crawl_run
@@ -1165,13 +1184,10 @@ class TestCutoffPullTransport:
     active hosts."""
 
     def test_pull_crawl_bit_identical_to_broadcast(self, crawl_run,
-                                                   corpus_dir):
+                                                   corpus_dir, monkeypatch):
         cfg_main, _, totals_main = crawl_run
         cfg = make_cfg(corpus_dir, "cutoff_pull")
-        cfg = CrawlConfig(
-            **{**cfg.__dict__,
-               "extra": {**cfg.extra, "cutoff_transport": "pull"}}
-        )
+        monkeypatch.setattr(crawl_mod, "MAX_CUTOFF_BROADCAST", -1)  # always pull
         shutil.rmtree(cfg.out_dir, ignore_errors=True)
         pipe = CrawlPipeline(cfg)
         totals = pipe.run(max_rounds=60)
@@ -1263,7 +1279,7 @@ class TestCutoffPullTransport:
 
 class TestWatchWithPullTransport:
     def test_watch_crawl_pull_equals_broadcast(self, corpus_dir,
-                                               ray_session):
+                                               ray_session, monkeypatch):
         # interaction gap: pushed pages offer candidates to the cutoff
         # shards mid-run; the shard-resident pull transport must yield
         # the SAME crawl as the broadcast transport in watch mode too
@@ -1273,11 +1289,8 @@ class TestWatchWithPullTransport:
         for transport in ("broadcast", "pull"):
             cfg = TestWatchIngest()._watch_cfg(
                 corpus_dir, f"watch_{transport}")
-            cfg = CrawlConfig(
-                **{**cfg.__dict__,
-                   "extra": {**cfg.extra,
-                             "cutoff_transport": transport}}
-            )
+            if transport == "pull":
+                monkeypatch.setattr(crawl_mod, "MAX_CUTOFF_BROADCAST", -1)
             shutil.rmtree(cfg.out_dir, ignore_errors=True)
             TestWatchIngest()._drive(cfg, corpus_dir, push_at=2)
             outs[transport] = (

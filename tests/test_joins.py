@@ -334,6 +334,20 @@ def test_hash_join_null_keys_match_duckdb(ray_session, keys):
             assert got[c].dtype == np.int64, (how, c)
 
 
+def test_hash_join_uint64_keys_above_2_63(ray_session):
+    from ethereum_raw_data_crawler_ray.stages.joins import hash_join
+
+    k = np.array([2**63 + 5, 2**64 - 1, 7, 2**63 + 5], dtype=np.uint64)
+    l = pd.DataFrame({"k": k, "lv": np.arange(4, dtype=np.int64)})
+    r = pd.DataFrame({"k": np.array([2**63 + 5, 3], dtype=np.uint64),
+                      "rv": np.array([10, 30], dtype=np.int64)})
+    got = hash_join(rd.from_pandas(l), rd.from_pandas(r), on="k",
+                    right_cols=["rv"], how="left", fill_value={"rv": -1},
+                    n_buckets=4).to_pandas().sort_values("lv")
+    assert got["k"].astype(np.uint64).tolist() == k.tolist()
+    assert got["rv"].tolist() == [10, -1, -1, 10]
+
+
 def test_hash_join_semi_anti_partition(ray_session):
     # semi ∪ anti == left, disjoint, and semi keys ⊆ right keys
     from ethereum_raw_data_crawler_ray.stages.joins import hash_join
@@ -1494,6 +1508,21 @@ class TestExchange:
 
         empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
         assert len(self._key_buckets(empty, ["k"])) == 0
+
+    def test_uint64_key_above_2_63(self, ray_session):
+        import pyarrow as pa
+
+        from ethereum_raw_data_crawler_ray.functions.hashing import mix64
+
+        # raw url hashes fill all 64 bits: keys >= 2^63 must hash as
+        # their uint64 bits, one bucket per key across batches
+        big = [2**63 + 5, 2**64 - 1, 7]
+        ta = pa.table({"k": pa.array(big, pa.uint64())})
+        tb = pa.table({"k": pa.array([7, 2**64 - 1], pa.uint64())})
+        out = self._key_buckets(rd.from_arrow([ta, tb]), ["k"])
+        assert sorted(out["k"].astype(np.uint64).tolist()) == sorted(big)
+        want = mix64(out["k"].to_numpy(np.uint64)) % np.uint64(7)
+        assert (out["bucket"].to_numpy(np.uint64) == want).all()
 
     def test_bucket_of_is_mix64_on_int_keys(self):
         from ethereum_raw_data_crawler_ray.functions.hashing import mix64

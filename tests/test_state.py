@@ -141,6 +141,63 @@ class TestClaimReplay:
         assert not _replay_claims(f, claims, h, 1, tok).any()
 
 
+class TestOfferReplay:
+    """A retried round task re-offers its batch; the cutoff must not move."""
+
+    @staticmethod
+    def _cutoff(chunks):
+        from ethereum_raw_data_crawler_ray.state.politeness import _CutoffState
+
+        st = _CutoffState()
+        for hs in chunks:
+            z = np.zeros(len(hs), dtype=np.int64)
+            st.offer((["a.com"], [len(hs)], z, z, z, np.array(hs, dtype=np.uint64)),
+                     {"a.com": 2})
+        return st.cutoffs({"a.com": 2})["a.com"]
+
+    def test_reoffered_chunk_keeps_cutoff(self):
+        once = self._cutoff([[1, 2], [3]])
+        assert once == (0, 0, 0, 2)
+        assert self._cutoff([[1, 2], [3], [1, 2]]) == once
+        assert self._cutoff([[1, 2], [1, 2], [3]]) == once
+
+    def test_reoffers_past_compaction(self):
+        # 4 x budget buffered rows trigger compaction inside offer
+        assert self._cutoff([[1, 2]] * 6 + [[3]]) == (0, 0, 0, 2)
+
+
+class TestGroups:
+    """``state.pool.groups`` — the one key→shard grouping of the state plane."""
+
+    def test_positions_complete_ascending_in_input_order(self):
+        from ethereum_raw_data_crawler_ray.state.pool import groups, url_owner
+
+        h = _hashes(5_000, seed=30)
+        owner = url_owner(h, 7)
+        got = list(groups(owner))
+        shards = [j for j, _ in got]
+        assert shards == sorted(set(owner.tolist()))
+        allpos = np.concatenate([ix for _, ix in got])
+        assert sorted(allpos.tolist()) == list(range(len(h)))
+        for j, ix in got:
+            assert (owner[ix] == j).all()
+            assert (np.diff(ix) > 0).all()
+        # the rule itself: url_hash % n, on the full 64 bits
+        assert (owner == (h % np.uint64(7)).astype(np.int64)).all()
+
+    def test_skips_shards_without_rows(self):
+        from ethereum_raw_data_crawler_ray.state.pool import groups
+
+        got = [(j, ix.tolist()) for j, ix in groups(np.array([3, 0, 3, 0, 3]))]
+        assert got == [(0, [1, 3]), (3, [0, 2, 4])]
+
+    def test_empty(self):
+        from ethereum_raw_data_crawler_ray.state.pool import groups, host_owner, url_owner
+
+        assert list(groups(url_owner(np.array([], dtype=np.uint64), 4))) == []
+        assert list(groups(host_owner([], 4))) == []
+
+
 class TestPoliteness:
     ROBOTS = {"slow.com": (1000, ("/private/",)), "fast.com": (0, ())}
 
