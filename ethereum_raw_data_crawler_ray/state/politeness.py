@@ -396,8 +396,9 @@ class _CutoffState:
     row offered twice is kept once.
 
     Offers append numpy array chunks (O(1)); compaction (vectorized
-    numeric lexsort + truncate to budget) runs only when a key's buffered
-    rows exceed 4× its budget, and once at collect time."""
+    numeric lexsort, drop repeated tuples, truncate to budget) runs only
+    when a key's buffered rows exceed 4× its budget, and once at collect
+    time."""
 
     def __init__(self):
         self.keys: dict[str, list] = {}  # pk → list of (p, d, t, h) chunks
@@ -410,14 +411,11 @@ class _CutoffState:
         t = np.concatenate([c[2] for c in chunks])
         h = np.concatenate([c[3] for c in chunks])
         order = np.lexsort((h, t, d, p))
-        top = order[:k]
-        # a retried task re-offers its rows: identical tuples count once.
-        # They sort side by side with equal url_hash, so a top k with no
-        # adjacent equal hash holds none.
-        if (h[top][1:] == h[top][:-1]).any():
-            p, d, t, h = p[order], d[order], t[order], h[order]
-            dup = (p[1:] == p[:-1]) & (d[1:] == d[:-1]) & (t[1:] == t[:-1]) & (h[1:] == h[:-1])
-            top = np.flatnonzero(np.append(True, ~dup))[:k]
+        p, d, t, h = p[order], d[order], t[order], h[order]
+        # a retried task re-offers its rows: identical tuples count once
+        keep = np.ones(len(h), dtype=bool)
+        keep[1:] = (p[1:] != p[:-1]) | (d[1:] != d[:-1]) | (t[1:] != t[:-1]) | (h[1:] != h[:-1])
+        top = np.flatnonzero(keep)[:k]
         return p[top], d[top], t[top], h[top]
 
     def offer(self, payload: tuple, budgets: dict) -> None:
