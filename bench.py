@@ -97,7 +97,6 @@ def run_bench() -> dict:
             extra={
                 "robots_path": corpus + "/robots.parquet",
                 "seeds_path": corpus + "/seeds.parquet",
-                "checkpoint_every": 5,
                 # payload serving parallelism — must DIVIDE the 32 fetch
                 # buckets (ActorPageStore invariant), so snap down to a
                 # power of two: 8cpu→4, 32cpu→16, 24cpu→8 (not 12)

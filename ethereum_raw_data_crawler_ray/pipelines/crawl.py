@@ -13,7 +13,8 @@ carry/discovered files:
   round r:
     collect politeness cutoffs for r (offered during round r-1's exec)
     read frontier_r → map_batches(round_task) → rounds/round_r (atomic)
-    seen-shard checkpoint (synchronous — snapshots end-of-round state)
+    seen end_round(r): chain each shard's digest over the round's
+      admitted claims (O(round); a rare snapshot when one is due)
     events projection + per-shard lineage (overlapped with round r+1)
 
 No all-to-all shuffle anywhere: politeness selection is exact
@@ -21,12 +22,15 @@ per-(host,salt) top-k via offered partial top-ks + broadcast cutoffs,
 and round dedup is the seen-shard first claim over discovered rows that
 are pure functions of (url, round).
 
-Resume: rewind to the newest complete seen dump, replay the rounds since
-(deterministic → bit-identical; tests kill -9 and compare). No decision
-anywhere reads a wall clock and every write is an idempotent tmp-dir +
-rename (:func:`_commit`). All state lives in the actor pools (seen
-shards, page store, cutoff buckets) or in checkpoint Parquet — never in
-driver mutexes (the reference's single-process ceiling, SURVEY.md §4).
+Resume starts at the round after the last complete one (lineage
+``_COMPLETE``): the seen shards rebuild from their newest snapshot plus
+the committed claims after it (state/seen.py), everything else is
+re-derived from the committed outputs (deterministic → bit-identical;
+tests kill -9 and compare). No decision anywhere reads a wall clock and
+every write is an idempotent tmp-dir + rename (:func:`_commit`). All
+state lives in the actor pools (seen shards, page store, cutoff
+buckets) or in checkpoint Parquet — never in driver mutexes (the
+reference's single-process ceiling, SURVEY.md §4).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from ..functions.urlnorm import normalize_many
 from ..schema import FRONTIER, LINEAGE, frontier_table
 from ..stages.fetch import STATUS_ERROR, STATUS_FETCHED, build_fetch_index
 from ..stages.roundstep import lineage_counts, round_task
+from ..state.cuckoo import slots_for
 from ..state.politeness import (
     CutoffPool,
     errors_by_shard,
@@ -119,8 +124,8 @@ class CrawlPipeline:
 
     # --- setup ------------------------------------------------------------
     def close(self) -> None:
-        """Release the state actor pool (seen state is on disk in seen/;
-        the store is rebuilt from the index)."""
+        """Release the state actor pool (seen state is rebuilt from the
+        committed claims and seen/ snapshots; the store from the index)."""
         self._join_bg()
         if self.pool is not None:
             self.pool.kill()
@@ -150,7 +155,7 @@ class CrawlPipeline:
         self.pool = StatePool()
         self.seen = ActorSeenSet(
             cfg.n_seen_shards, cfg.seen_shard_capacity,
-            ckpt_root=self._p("seen"), pool=self.pool,
+            out_dir=self.out, pool=self.pool,
         )
         n_store = int(cfg.extra.get("n_store_shards", min(8, cfg.n_fetch_buckets)))
         self.store = ActorPageStore(
@@ -180,10 +185,6 @@ class CrawlPipeline:
         hashes = np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64)
         novel = self.seen.check_and_insert(hashes)
         _commit(self._p("frontier", "round_00000"), t.filter(pa.array(novel)))
-        bdir = self._p("seen", "bootstrap")
-        self.seen.save(bdir)
-        with open(os.path.join(bdir, "_COMPLETE"), "w") as f:
-            f.write("ok")
 
     # --- frontier source (each round's output embeds the next frontier,
     #     hive-partitioned by row_kind so frontier reads touch only the
@@ -626,54 +627,6 @@ class CrawlPipeline:
                              hot=self._load_hot(r), **self._politeness_kwargs())
         return len(ft)
 
-    def _reclaim_ingest(self, r: int) -> None:
-        """Resume path: round ``r``'s ingest rows were seen-claimed after
-        the checkpoint being resumed from — re-claim them (same filter
-        state ⇒ identical novel set ⇒ bit-identical replay)."""
-        d = self._p("ingest", f"round_{r:05d}")
-        if not os.path.exists(d):
-            return
-        t = pads.dataset(d, format="parquet").to_table(columns=["url_hash"])
-        if len(t):
-            self.seen.check_and_insert(
-                np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64)
-            )
-
-    # --- seen-shard gap healing (ADVICE r02) ------------------------------
-    def _heal_seen(self, r: int) -> list[int]:
-        """A restarted seen shard restored the newest COMPLETE npz dump —
-        with checkpoint_every > 1 that dump can predate the last executed
-        round by up to N-1 rounds, silently forgetting their claims.
-        Detect the restart (consume_fresh, same pattern as CutoffPool)
-        and replay the gap rounds' claims from the committed frontier
-        outputs: the frontier rows of round f are exactly the urls
-        claimed as novel during round f-1 (plus round f's ingest), so
-        re-inserting frontier rounds dump+1 … r restores membership
-        exactly (inserting an existing member is a no-op).  The replay
-        starts at dump+1, not dump+2: the round-``base`` npz dump
-        predates round ``base+1``'s watch-mode ingest, whose seen-claims
-        land in frontier round ``base+1`` — starting at ``base+2`` would
-        forget them and double-admit a later push of the same URL (r03
-        ADVICE).  Round ``base+1``'s frontier also repeats round
-        ``base``'s claims, but re-claiming members is a no-op, so the
-        only cost is one extra thin frontier read."""
-        states = self.seen.consume_fresh()
-        fresh = [(j, rr) for j, (f, rr) in enumerate(states) if f]
-        if not fresh:
-            return []
-        shard_ids = [j for j, _ in fresh]
-        base = min(rr for _, rr in fresh)
-        for rf in range(base + 1, r + 1):
-            files = self._frontier_source(rf)
-            if not files:
-                continue
-            t = pads.dataset(files, format="parquet").to_table(columns=["url_hash"])
-            if len(t):
-                self.seen.insert_to_shards(
-                    shard_ids, np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64)
-                )
-        return shard_ids
-
     # --- one round --------------------------------------------------------
     def run_round(self, r: int) -> dict:
         """ONE Ray execution per round — the fused round_task reads its
@@ -683,7 +636,6 @@ class CrawlPipeline:
         separate read stage, no extra stamp stage — the per-round fixed
         cost is one execution launch plus the atomic write rename (r02
         verdict #1)."""
-        self._heal_seen(r)
         cfg = self.cfg
         t0 = time.perf_counter()
         rounds_dir = self._p("rounds", f"round_{r:05d}")
@@ -749,8 +701,11 @@ class CrawlPipeline:
         _commit(rounds_dir, fill=lambda tmp: ds.write_parquet(tmp, partition_cols=["row_kind"]))
         t_main = time.perf_counter() - t_m0
         # execution barrier passed + output committed → claim logs for
-        # this round can never be replayed again
-        self.seen.end_round(r)
+        # this round can never be replayed again; the shards chain their
+        # lineage digests over the round's admitted claims
+        t_c0 = time.perf_counter()
+        digests = self.seen.end_round(r)
+        t_ckpt = time.perf_counter() - t_c0
 
         # lineage bincounts were accumulated on the cutoff shards by the
         # round's own tasks; completeness is verified by the row total
@@ -761,21 +716,8 @@ class CrawlPipeline:
             lin_counts = None
 
         # next-frontier size from file metadata (cheap, needed now for the
-        # loop/checkpoint decisions)
+        # loop decision)
         n_next = self._frontier_count(r + 1)
-
-        # seen checkpoint is SYNCHRONOUS: the dump must snapshot state at
-        # the end of round r, before round r+1's discovery inserts
-        t_c0 = time.perf_counter()
-        ckpt_every = int(cfg.extra.get("checkpoint_every", 1))
-        if r % ckpt_every == ckpt_every - 1 or n_next == 0:
-            seen_dir = self._p("seen", f"round_{r:05d}")
-            digests = self.seen.save(seen_dir)
-            with open(os.path.join(seen_dir, "_COMPLETE"), "w") as f:
-                f.write("ok")
-        else:
-            digests = self.seen.digests()
-        t_ckpt = time.perf_counter() - t_c0
 
         # events + lineage only read the committed rounds dir — overlap
         # them with the next round's execution (1-deep: joined before the
@@ -872,15 +814,19 @@ class CrawlPipeline:
         The roles share pool actors (state/pool.py): the store, seen and
         cutoff rows of shard j come from the same process, so they report
         the same ``reconstructed`` flag and the same process ``cpu_s`` /
-        ``rss_kb``. Written BEFORE the lineage _COMPLETE marker, so every
-        complete round has health rows."""
+        ``rss_kb``. Seen rows also carry the shard's filter load factor
+        (items / slots) and the analytic false-positive bound
+        ``8·load/2^16`` (2 buckets × 4 slots of 16-bit fingerprints);
+        store and cutoff rows read 0 there. Written BEFORE the lineage
+        _COMPLETE marker, so every complete round has health rows."""
         comps = [
             ("seen", self.seen.health()),
             ("store", self.store.health()),
             ("cutoff", self.cutoff_pool.health()),
         ]
         comp_col, shard_col, rec_col, items_col = [], [], [], []
-        cpu_col, rss_col = [], []
+        cpu_col, rss_col, load_col = [], [], []
+        seen_slots = slots_for(self.cfg.seen_shard_capacity)
         for name, rows in comps:
             for j, h in enumerate(rows):
                 comp_col.append(name)
@@ -889,6 +835,8 @@ class CrawlPipeline:
                 items_col.append(int(h["items"]))
                 cpu_col.append(float(h.get("cpu_s", 0.0)))
                 rss_col.append(int(h.get("rss_kb", 0)))
+                load_col.append(h["items"] / seen_slots if name == "seen" else 0.0)
+        load = np.asarray(load_col, dtype=np.float64)
         t = pa.table(
             {
                 "round": pa.array(
@@ -910,6 +858,8 @@ class CrawlPipeline:
                 "rss_kb": pa.array(
                     np.asarray(rss_col, dtype=np.int64), type=pa.int64()
                 ),
+                "load_factor": pa.array(load, type=pa.float64()),
+                "fp_bound": pa.array(8 * load / 2**16, type=pa.float64()),
             }
         )
         _commit(self._p("health", f"round_{r:05d}"), t)
@@ -943,32 +893,24 @@ class CrawlPipeline:
 
     # --- full run ---------------------------------------------------------
     def run(self, seeds: pa.Table | None = None, max_rounds: int | None = None) -> dict:
-        """Crawl to frontier exhaustion (or max_rounds). Resumes from the
-        last complete round if checkpoints exist."""
+        """Crawl to frontier exhaustion (or max_rounds). Resumes after the
+        last complete round if one exists."""
         cfg = self.cfg
         self.prepare()
-        last = self.last_complete_round()
-        # resume needs seen-shard state: rewind to the newest round with a
-        # seen dump (checkpoint_every may skip rounds); the replayed
-        # rounds are deterministic → outputs overwrite bit-identically
-        while last >= 0 and not os.path.exists(
-            self._p("seen", f"round_{last:05d}", "_COMPLETE")
-        ):
-            last -= 1
-        if last >= 0:
-            self.seen.load(self._p("seen", f"round_{last:05d}"))
-            start = last + 1
-            self._reclaim_ingest(start)
-        elif os.path.exists(self._p("frontier", "round_00000")) and os.path.exists(
-            self._p("seen", "bootstrap", "_COMPLETE")
-        ):
-            self.seen.load(self._p("seen", "bootstrap"))
-            start = 0
+        start = self.last_complete_round() + 1
+        # outputs of rounds past the last complete one are re-executed:
+        # drop them first, so the seen shards rebuild from complete
+        # rounds only (a restarted shard replays the rounds/ on disk)
+        r = start
+        while os.path.isdir(d := self._p("rounds", f"round_{r:05d}")):
+            shutil.rmtree(d)
+            r += 1
+        if os.path.exists(self._p("frontier", "round_00000")):
+            self.seen.load()
         else:
             if seeds is None:
                 seeds = pq.read_table(cfg.extra["seeds_path"])
             self.bootstrap(seeds)
-            start = 0
         # the resumed/bootstrap round's politeness offers came from an
         # execution that no longer exists — re-derive them
         self._backfill_offers(start)

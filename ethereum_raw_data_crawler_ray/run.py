@@ -40,8 +40,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--store-mode", choices=["preload", "lazy"], default="preload",
                    help="preload: shards decode their pages once; lazy: hash->row-group "
                         "index + LRU of decoded groups (the 100-TB memory shape)")
-    p.add_argument("--checkpoint-every", type=int, default=1,
-                   help="persist seen-shard state every N rounds (resume replays the gap)")
     p.add_argument("--watch-dir", default=None,
                    help="incremental ingest: page parquet files appearing here are "
                         "picked up at round boundaries (WS-push analog)")
@@ -82,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
         "host_salt": args.host_salt,
         "error_permille": args.error_permille,
         "enrich": args.enrich,
-        "checkpoint_every": args.checkpoint_every,
         "store_mode": args.store_mode,
     }
     if args.robots:

@@ -19,9 +19,12 @@ consumes for shard routing / bucketing / salting (see ``_splitmix64``).
 
 False positives (~2*4/2^16 ≈ 0.012%) cause a rare URL to be treated as
 already-seen and skipped — acceptable crawl semantics (the reference
-likewise treats any duplicate-key signal as success). Membership results
-are independent of insert order, so parallel round execution stays
-deterministic apart from FP-coincidences, which tests run far below.
+likewise treats any duplicate-key signal as success). ``contains()`` is
+true only for a key ``(fp, {i1, i2})`` equal to a stored one, so its
+answers depend only on the SET of keys inserted, never on their order;
+the table LAYOUT does depend on order (an item lands in i2 only when i1
+was full when it arrived, and kicks move items), so parallel round
+execution fills tables differently while answering identically.
 """
 
 from __future__ import annotations
@@ -34,8 +37,15 @@ _SLOTS = 4
 _MAX_KICKS = 500
 
 
-def _next_pow2(x: int) -> int:
-    return 1 << max(4, (x - 1).bit_length())
+def slots_for(capacity: int) -> int:
+    """Slots of a filter built for ``capacity`` items (power-of-two
+    buckets sized for 95% load); its load factor is ``count / slots``."""
+    return _SLOTS << max(4, int(capacity / (_SLOTS * 0.95)).bit_length())
+
+
+# fp → bucket-offset mix table (fixed, derived from the golden ratio)
+with np.errstate(over="ignore"):
+    _FPMIX = (np.arange(65536, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)
 
 
 def _splitmix64(h: np.ndarray) -> np.ndarray:
@@ -57,17 +67,15 @@ class CuckooFilter:
     """One shard. Not thread-safe — lives inside a single Ray actor."""
 
     def __init__(self, capacity: int, seed: int = 0):
-        n_buckets = _next_pow2(int(capacity / (_SLOTS * 0.95)) + 1)
-        self.n_buckets = n_buckets
-        self.mask = np.uint64(n_buckets - 1)
-        self.table = np.zeros((n_buckets, _SLOTS), dtype=np.uint16)
-        self.count = 0
+        self._init(np.zeros((slots_for(capacity) // _SLOTS, _SLOTS), dtype=np.uint16),
+                   0, seed)
+
+    def _init(self, table: np.ndarray, count: int, seed: int) -> None:
+        self.table = table
+        self.n_buckets = table.shape[0]
+        self.mask = np.uint64(self.n_buckets - 1)
+        self.count = count
         self.seed = seed
-        # fp → bucket-offset mix table (fixed, derived from golden ratio)
-        with np.errstate(over="ignore"):
-            self._fpmix = (
-                np.arange(65536, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ) >> np.uint64(32)
 
     # --- key derivation ---------------------------------------------------
     def _parts(self, hashes: np.ndarray):
@@ -75,7 +83,7 @@ class CuckooFilter:
         fp = ((h >> np.uint64(48)) & np.uint64(0xFFFF)).astype(np.uint16)
         fp = np.where(fp == 0, np.uint16(1), fp)  # 0 means empty slot
         i1 = (h & self.mask).astype(np.int64)
-        i2 = ((i1.astype(np.uint64) ^ self._fpmix[fp]) & self.mask).astype(np.int64)
+        i2 = ((i1.astype(np.uint64) ^ _FPMIX[fp]) & self.mask).astype(np.int64)
         return fp, i1, i2
 
     # --- vectorized membership -------------------------------------------
@@ -99,8 +107,6 @@ class CuckooFilter:
             return novel
         fp, i1, i2 = self._parts(hashes)
         table = self.table
-        fpmix = self._fpmix
-        mask = int(self.mask)
         for j in range(n):
             f = fp[j]
             b1 = i1[j]
@@ -109,24 +115,28 @@ class CuckooFilter:
             row2 = table[b2]
             if (row1 == f).any() or (row2 == f).any():
                 continue
-            if not self._place(f, b1, b2):
-                # count/table stay consistent: earlier inserts in this
-                # batch were each counted as they were placed
-                raise RuntimeError(
-                    f"cuckoo shard full (count={self.count}, buckets={self.n_buckets})"
-                )
+            # on a raise count/table stay consistent: earlier inserts in
+            # this batch were each counted as they were placed
+            self._insert(f, b1, b2)
             novel[j] = True
-            self.count += 1
         return novel
 
-    def _place(self, f: np.uint16, b1: int, b2: int) -> bool:
+    def insert_many(self, hashes: np.ndarray) -> None:
+        """Insert every hash without a membership check — for replaying
+        keys known to be pairwise distinct and absent (a seen shard's
+        committed claims); a repeated key would be stored twice."""
+        for f, b1, b2 in zip(*self._parts(hashes)):
+            self._insert(f, b1, b2)
+
+    def _insert(self, f: np.uint16, b1: int, b2: int) -> None:
         table = self.table
         for b in (b1, b2):
             row = table[b]
             empty = np.flatnonzero(row == 0)
             if empty.size:
                 row[empty[0]] = f
-                return True
+                self.count += 1
+                return
         # evict: random-walk kick bounded by _MAX_KICKS (deterministic walk
         # — slot choice derived from the fingerprint, no RNG state)
         b = b2
@@ -136,25 +146,27 @@ class CuckooFilter:
             victim = table[b, slot]
             table[b, slot] = cur
             cur = victim
-            b = int((np.uint64(b) ^ self._fpmix[cur]) & self.mask)
+            b = int((np.uint64(b) ^ _FPMIX[cur]) & self.mask)
             row = table[b]
             empty = np.flatnonzero(row == 0)
             if empty.size:
                 row[empty[0]] = cur
-                return True
-        return False
+                self.count += 1
+                return
+        # the walk dropped its last victim for f: the item count is unchanged
+        raise RuntimeError(f"cuckoo shard full (count={self.count}, buckets={self.n_buckets})")
 
-    # --- checkpoint state -------------------------------------------------
+    # --- state -------------------------------------------------------------
     def digest(self) -> bytes:
-        """Content digest of the shard — checkpointed per round in lineage
-        (analog of resume-state, crawler_service.go:199-226).
-
-        Slots within a bucket are sorted before hashing so the digest is a
-        function of the membership set, not of parallel insert arrival
-        order (absent evictions) — required for bit-identical lineage
-        between an uninterrupted run and a resumed one."""
-        h = hashlib.sha256()
-        h.update(np.sort(self.table, axis=1).tobytes())
+        """Digest of the stored key set: each occupied slot's canonical
+        key ``(min(b, alt(b)), fp)`` — the same for either bucket the
+        item sits in — sorted, so the digest does not depend on insert
+        order or table layout."""
+        b, s = np.nonzero(self.table)
+        f = self.table[b, s]
+        alt = (b.astype(np.uint64) ^ _FPMIX[f]) & self.mask
+        keys = (np.minimum(b.astype(np.uint64), alt) << np.uint64(16)) | f.astype(np.uint64)
+        h = hashlib.sha256(np.sort(keys).tobytes())
         h.update(self.count.to_bytes(8, "little"))
         return h.digest()
 
@@ -164,13 +176,5 @@ class CuckooFilter:
     @classmethod
     def restore(cls, state: dict) -> "CuckooFilter":
         obj = cls.__new__(cls)
-        obj.table = state["table"].copy()
-        obj.n_buckets = obj.table.shape[0]
-        obj.mask = np.uint64(obj.n_buckets - 1)
-        obj.count = int(state["count"])
-        obj.seed = int(state.get("seed", 0))
-        with np.errstate(over="ignore"):
-            obj._fpmix = (
-                np.arange(65536, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ) >> np.uint64(32)
+        obj._init(state["table"].copy(), int(state["count"]), int(state.get("seed", 0)))
         return obj

@@ -662,7 +662,7 @@ class CutoffPool(RoleFacade):
         buffered offers are gone and the caller must re-backfill."""
         import ray
 
-        return any(ray.get([h.cutoff_consume_fresh.remote() for h in self.handles]))
+        return any(ray.get([h.consume_fresh.remote() for h in self.handles]))
 
     def drop_round(self, round_no: int) -> None:
         import ray

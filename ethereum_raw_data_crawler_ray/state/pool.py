@@ -33,17 +33,16 @@ each taking seconds. On crawl-polite's config in a 2-CPU session
 4 shared processes in 4.2 s, with 567 MB less actor memory.
 
 The actor forwards each role method under the role method's own name.
-Three names are defined by more than one role; on the actor they are
-``health(role)``, ``store_count`` / ``seen_count`` and
-``seen_consume_fresh`` / ``cutoff_consume_fresh``.
+Two names are defined by more than one role; on the actor they are
+``health(role)`` and ``store_count`` / ``seen_count``.
 
 A restart restarts every role in the process, and each recovers on its
 own: the store re-reads the immutable fetch index, the seen shard
-restores its newest complete npz dump and raises ``fresh`` (healed by
-``CrawlPipeline._heal_seen``), the cutoff shard raises ``fresh`` so the
-driver drops the round's offers and backfills them. No constructor
-argument lives in the object store, so a restart never depends on an
-object that may be gone.
+rebuilds itself in its constructor from its newest snapshot plus a
+replay of the committed claims after it (``SeenShard.load``), the
+cutoff shard raises ``fresh`` so the driver drops the round's offers
+and backfills them. No constructor argument lives in the object store,
+so a restart never depends on an object that may be gone.
 """
 
 from __future__ import annotations
@@ -91,11 +90,10 @@ _FORWARD = {
     "check_and_insert": ("seen", "check_and_insert"),
     "contains": ("seen", "contains"),
     "digest": ("seen", "digest"),
-    "dump_npz": ("seen", "dump_npz"),
-    "load_npz": ("seen", "load_npz"),
     "end_round": ("seen", "end_round"),
+    "save": ("seen", "save"),
+    "load": ("seen", "load"),
     "seen_count": ("seen", "items"),
-    "seen_consume_fresh": ("seen", "consume_fresh"),
     "offer": ("cutoff", "offer"),
     "note_errors": ("cutoff", "note_errors"),
     "report_lineage": ("cutoff", "report_lineage"),
@@ -105,7 +103,7 @@ _FORWARD = {
     "finalize_round": ("cutoff", "finalize_round"),
     "pull_cutoffs": ("cutoff", "pull_cutoffs"),
     "fetch_ready": ("cutoff", "fetch_ready"),
-    "cutoff_consume_fresh": ("cutoff", "consume_fresh"),
+    "consume_fresh": ("cutoff", "consume_fresh"),
 }
 
 

@@ -10,7 +10,7 @@ that actor's page-store and cutoff shards. URLs route to the shard
 anti-join of candidates against crawl history with no shuffle of the
 big side (SURVEY.md J5).
 
-Two interchangeable implementations share the routing logic:
+Two facades share the :class:`SeenShard` role and the routing logic:
 
 * :class:`LocalSeenSet` — plain in-process shards (golden single-threaded
   simulator + unit tests);
@@ -18,17 +18,30 @@ Two interchangeable implementations share the routing logic:
   hosting the seen shards; handles are serializable, so ``map_batches``
   UDFs can probe shards from any worker.
 
-Per-round checkpointing: each shard dumps its table to
-``seen/round=<r>/shard_<j>.npz`` and its sha256 digest goes into the
-lineage row — resume reloads shards bit-identically
-(analog of resume-from-last-processed, ``crawler_service.go:199-226``).
+Lineage digest: ``end_round(r)`` advances each shard's hash chain
+``d_r = sha256(d_{r-1} ‖ n_r ‖ sorted url_hashes admitted in round r)``
+from a fixed ``d_{-1}`` — O(round), and independent of claim order and
+table layout. It is the lineage row's ``seen_shard_digest``.
+
+Recovery replays claims instead of dumping the filter every round (the
+reference resumes from a cursor, ``crawler_service.go:199-226``). Each
+admitted claim is committed in exactly one place: the seeds, a round's
+watch ingest or its ``row_kind=discovered`` rows (carry rows are
+members, not claims). :meth:`SeenShard.load` — resume and restart alike
+— restores the shard's newest snapshot (or the empty filter), replays
+the later committed rounds one by one, then re-claims the round not yet
+run. Admitted keys ``(fp, {i1, i2})`` are pairwise distinct, so any
+replay order rebuilds the same key set and chain.
 """
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import os
 
 import numpy as np
+import pyarrow.dataset as pads
 import ray
 
 from .cuckoo import CuckooFilter
@@ -53,24 +66,24 @@ def _scatter_gather(handles: list, hashes: np.ndarray, call, get=list) -> np.nda
 
 
 class LocalSeenSet:
-    """In-process reference implementation (shared by tests + golden)."""
+    """In-process shards (golden simulator + unit tests): the same
+    :class:`SeenShard` role the actor pool hosts, without snapshots."""
 
     def __init__(self, n_shards: int, capacity_per_shard: int):
         self.n_shards = n_shards
-        self.shards = [CuckooFilter(capacity_per_shard, seed=j) for j in range(n_shards)]
+        self.shards = [SeenShard(j, capacity_per_shard) for j in range(n_shards)]
 
     def check_and_insert(self, hashes: np.ndarray) -> np.ndarray:
-        return _scatter_gather(self.shards, hashes,
-                               lambda s, h: s.check_and_insert_many(h))
+        return _scatter_gather(self.shards, hashes, lambda s, h: s.check_and_insert(h))
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
-        return _scatter_gather(self.shards, hashes, lambda s, h: s.contains_many(h))
+        return _scatter_gather(self.shards, hashes, lambda s, h: s.contains(h))
 
     def digests(self) -> list[bytes]:
         return [s.digest() for s in self.shards]
 
     def counts(self) -> list[int]:
-        return [s.count for s in self.shards]
+        return [s.items() for s in self.shards]
 
 
 def claim_token(hashes: np.ndarray, salt: int = 0) -> int:
@@ -87,10 +100,8 @@ def claim_token(hashes: np.ndarray, salt: int = 0) -> int:
     URL). Callers pass the hash of the task's INPUT frontier batch:
     frontier batches partition a deduplicated frontier, so they are
     globally unique across tasks and reproduced exactly by a Ray retry."""
-    import hashlib as _hl
-
     return int.from_bytes(
-        _hl.blake2b(
+        hashlib.blake2b(
             int(salt).to_bytes(8, "little", signed=False)
             + hashes.astype(np.uint64).tobytes(),
             digest_size=8,
@@ -120,99 +131,149 @@ def _replay_claims(
     return novel
 
 
+# d_{-1}: the chain digest of a shard before round 0
+_CHAIN_SEED = hashlib.sha256(b"seen shard chain").digest()
+
+# A shard snapshots its filter (seen/shard_<j>/round_<r>.npz) once the
+# claims it admitted since the last one reach this fraction of its
+# capacity. A snapshot writes the whole table, 2 bytes a slot, i.e.
+# ~17 bytes per admitted claim at 1/8: nanoseconds against the ~20-40 us
+# of the claim itself. Replay after a restart or resume re-inserts at
+# most this fraction of capacity (~5·10^6 claims, ~100 s single-core, on
+# a 4·10^7-item shard). A smaller fraction shortens that bound and writes
+# more; 1/8 caps a shard at ~8 snapshots, so all are kept. Test- and
+# bench-sized crawls never snapshot.
+SNAPSHOT_FRACTION = 1 / 8
+
+
+def _committed_claims(out_dir: str, r: int, pending: bool = False) -> np.ndarray:
+    """url_hashes admitted during round ``r`` of the crawl under
+    ``out_dir``: the seeds (round 0), the round's watch ingest and, unless
+    the round is still ``pending`` (not executed), its discovered rows."""
+    dirs = [os.path.join(out_dir, "frontier", "round_00000")] if r == 0 else []
+    dirs.append(os.path.join(out_dir, "ingest", f"round_{r:05d}"))
+    if not pending:
+        dirs.append(os.path.join(out_dir, "rounds", f"round_{r:05d}", "row_kind=discovered"))
+    files = [f for d in dirs
+             for f in sorted(glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True))]
+    if not files:
+        return np.zeros(0, dtype=np.uint64)
+    t = pads.dataset(files, format="parquet").to_table(columns=["url_hash"])
+    return np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64)
+
+
 class SeenShard:
     """One seen shard — a role of the ``StateShard`` actor pool
-    (state/pool.py).
+    (state/pool.py), or in-process in :class:`LocalSeenSet`.
 
     Fault tolerance (the Ray-native analog of the reference's
-    reconnect-on-failure loops, ``crawler_service.go:727-864``): on actor
-    RESTART the constructor rebuilds membership from the newest complete
-    npz dump under ``ckpt_root`` (which must be shared storage on a real
-    cluster) and raises the ``fresh`` flag with the dump's round. The
-    driver (``CrawlPipeline._heal_seen``) detects this at the next round
-    boundary and replays the claims of the GAP rounds (dump round+1 …
-    now) from the committed frontier outputs — so checkpoint_every > 1
-    no longer silently forgets up to N-1 rounds of claims on a shard
-    restart (ADVICE r02)."""
+    reconnect-on-failure loops, ``crawler_service.go:727-864``): a
+    RESTARTED shard rebuilds itself in its constructor (:meth:`load`)
+    before it serves a call, so no claim ever reaches a stale filter.
+    ``out_dir`` is the crawl's output root (shared storage on a real
+    cluster); without it the shard keeps no snapshots."""
 
-    def __init__(self, shard_id: int, capacity: int, ckpt_root: str | None = None):
+    def __init__(self, shard_id: int, capacity: int, out_dir: str | None = None,
+                 n_shards: int = 1):
         self.shard_id = shard_id
-        self.filter = CuckooFilter(capacity, seed=shard_id)
-        # round → {url_hash → claimant token}; dropped by end_round once
-        # the round's output is committed (no more task retries possible)
-        self._claims: dict[int, dict[int, int]] = {}
-        # restart detection: (fresh flag, round of the restored dump;
-        # -1 = bootstrap dump, -2 = nothing restored)
-        self._fresh = False
-        self._restored_round = -2
-        if ckpt_root:
+        self.capacity = capacity
+        self.out_dir = out_dir
+        self.n_shards = n_shards
+        self._restore(None)
+        if out_dir:
             from .resources import actor_restarted
 
             if actor_restarted():
-                self._fresh = True
-                path, rr = self._newest_dump(ckpt_root)
-                if path is not None:
-                    z = np.load(path)
-                    self.filter = CuckooFilter.restore(
-                        {"table": z["table"], "count": int(z["count"]), "seed": shard_id}
-                    )
-                    self._restored_round = rr
+                self.load()
 
-    def _newest_dump(self, root: str) -> tuple[str | None, int]:
-        import glob as _glob
+    def _restore(self, snapshot: str | None) -> None:
+        """Start from ``snapshot``, or from the empty filter before round 0."""
+        if snapshot is None:
+            self.filter = CuckooFilter(self.capacity, seed=self.shard_id)
+            self._digest, self._round = _CHAIN_SEED, -1
+        else:
+            z = np.load(snapshot)
+            self.filter = CuckooFilter.restore(
+                {"table": z["table"], "count": int(z["count"]), "seed": self.shard_id})
+            self._digest, self._round = z["digest"].tobytes(), int(z["round"])
+        # round → {url_hash → claimant token}: the round's admitted claims,
+        # dropped by end_round once the round's output is committed (no
+        # more task retries possible)
+        self._claims: dict[int, dict[int, int]] = {}
+        self._admitted: list[np.ndarray] = []  # round-less claims since end_round
+        self._unsaved = 0  # claims admitted since the snapshot
 
-        dirs = sorted(_glob.glob(os.path.join(root, "round_*")), reverse=True)
-        dirs.append(os.path.join(root, "bootstrap"))
-        for d in dirs:
-            if os.path.exists(os.path.join(d, "_COMPLETE")):
-                f = os.path.join(d, f"shard_{self.shard_id}.npz")
-                if os.path.exists(f):
-                    name = os.path.basename(d)
-                    rr = int(name.split("_")[1]) if name.startswith("round_") else -1
-                    return f, rr
-        return None, -2
+    def _own(self, hashes: np.ndarray) -> np.ndarray:
+        return hashes[url_owner(hashes, self.n_shards) == self.shard_id]
 
-    def consume_fresh(self) -> tuple[bool, int]:
-        """→ (restarted since last check, restored dump round). The
-        driver replays gap-round claims to shards reporting fresh."""
-        f, self._fresh = self._fresh, False
-        return f, self._restored_round
+    def _advance(self, r: int, admitted: np.ndarray) -> None:
+        h = hashlib.sha256(self._digest)
+        h.update(len(admitted).to_bytes(8, "little"))
+        h.update(np.sort(admitted).tobytes())
+        self._digest, self._round = h.digest(), r
+        self._admitted = []
+        self._unsaved += len(admitted)
 
     def check_and_insert(
         self, hashes: np.ndarray, round_no: int | None = None, token: int | None = None
     ) -> np.ndarray:
         if round_no is None:
-            return self.filter.check_and_insert_many(hashes)
+            novel = self.filter.check_and_insert_many(hashes)
+            self._admitted.append(hashes[novel].astype(np.uint64))
+            return novel
         return _replay_claims(self.filter, self._claims, hashes, round_no, token)
 
-    def end_round(self, upto_round: int) -> None:
+    def end_round(self, upto_round: int) -> tuple[bytes, bool]:
+        """Close round ``upto_round``: chain the claims admitted since the
+        last end_round and drop the round's claim log → (chain digest,
+        snapshot due). A no-op for a round the shard already replayed."""
+        if upto_round > self._round:
+            log = self._claims.get(upto_round, {})
+            self._advance(upto_round, np.concatenate(
+                [*self._admitted, np.fromiter(log, dtype=np.uint64, count=len(log))]))
         self._claims = {r: v for r, v in self._claims.items() if r > upto_round}
+        due = bool(self.out_dir) and self._unsaved >= SNAPSHOT_FRACTION * self.capacity
+        return self._digest, due
+
+    def save(self) -> None:
+        """Snapshot the filter as of the last ended round — table, count,
+        chain digest and round — atomically into ``seen/shard_<j>/``."""
+        d = os.path.join(self.out_dir, "seen", f"shard_{self.shard_id}")
+        os.makedirs(d, exist_ok=True)
+        path = os.path.join(d, f"round_{self._round:05d}.npz")
+        tmp = path + ".tmp.npz"  # np.savez appends .npz unless present
+        np.savez(tmp, table=self.filter.table, count=self.filter.count,
+                 digest=np.frombuffer(self._digest, dtype=np.uint8), round=self._round)
+        os.replace(tmp, path)
+        self._unsaved = 0
+
+    def load(self) -> bytes:
+        """Rebuild from the committed outputs: the newest snapshot of a
+        committed round (or the empty filter), then every later committed
+        round's claims with the chain advanced per round, then the claims
+        of the round not yet executed. → chain digest."""
+        top = -1
+        while os.path.isdir(os.path.join(self.out_dir, "rounds", f"round_{top + 1:05d}")):
+            top += 1
+        snaps = [p for p in glob.glob(os.path.join(
+                     self.out_dir, "seen", f"shard_{self.shard_id}", "round_?????.npz"))
+                 if int(p[-9:-4]) <= top]
+        self._restore(max(snaps) if snaps else None)
+        for r in range(self._round + 1, top + 1):
+            keys = self._own(_committed_claims(self.out_dir, r))
+            self.filter.insert_many(keys)
+            self._advance(r, keys)
+        self.check_and_insert(self._own(_committed_claims(self.out_dir, top + 1, pending=True)))
+        return self._digest
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
         return self.filter.contains_many(hashes)
 
     def digest(self) -> bytes:
-        return self.filter.digest()
+        return self._digest
 
     def items(self) -> int:
         return self.filter.count
-
-    def dump_npz(self, path: str) -> bytes:
-        """Persist shard state; returns the digest for the lineage row."""
-        tmp = path + ".tmp.npz"  # np.savez appends .npz unless present
-        np.savez_compressed(tmp, table=self.filter.table, count=self.filter.count)
-        os.replace(tmp, path)
-        return self.filter.digest()
-
-    def load_npz(self, path: str) -> bytes:
-        z = np.load(path)
-        self.filter = CuckooFilter.restore(
-            {"table": z["table"], "count": int(z["count"]), "seed": self.shard_id}
-        )
-        # a driver-driven load is authoritative: the resume path rewinds
-        # to this dump's round and replays from there — no gap to heal
-        self._fresh = False
-        return self.filter.digest()
 
 
 class ActorSeenSet(RoleFacade):
@@ -221,8 +282,9 @@ class ActorSeenSet(RoleFacade):
     role = "seen"
 
     def __init__(self, n_shards: int, capacity_per_shard: int,
-                 ckpt_root: str | None = None, pool: StatePool | None = None):
-        self._host(pool, n_shards, capacity=capacity_per_shard, ckpt_root=ckpt_root)
+                 out_dir: str | None = None, pool: StatePool | None = None):
+        self._host(pool, n_shards, capacity=capacity_per_shard, out_dir=out_dir,
+                   n_shards=n_shards)
 
     def _call(self, method: str, hashes: np.ndarray) -> np.ndarray:
         return _scatter_gather(self.handles, hashes,
@@ -240,38 +302,22 @@ class ActorSeenSet(RoleFacade):
     def counts(self) -> list[int]:
         return ray.get([h.seen_count.remote() for h in self.handles])
 
-    def consume_fresh(self) -> list[tuple[bool, int]]:
-        """Per shard: (restarted since last check, restored dump round)."""
-        return ray.get([h.seen_consume_fresh.remote() for h in self.handles])
+    def end_round(self, upto_round: int) -> list[bytes]:
+        """Close round ``upto_round`` on every shard (its output is
+        committed, so no task retry can replay its claims) → the shards'
+        chain digests; shards due a snapshot write it now."""
+        out = ray.get([h.end_round.remote(upto_round) for h in self.handles])
+        self.save([j for j, (_, due) in enumerate(out) if due])
+        return [d for d, _ in out]
 
-    def insert_to_shards(self, shard_ids: list[int], hashes: np.ndarray) -> None:
-        """Route ``hashes`` by owner and re-insert into the GIVEN shards
-        only (gap-round claim replay after a shard restart; inserting an
-        existing member is a no-op, so over-replay is safe)."""
-        self._call("check_and_insert",
-                   hashes[np.isin(url_owner(hashes, self.n_shards), shard_ids)])
+    def save(self, shard_ids: list[int]) -> None:
+        """Snapshot the given shards (state as of their last ended round)."""
+        ray.get([self.handles[j].save.remote() for j in shard_ids])
 
-    def save(self, dirpath: str) -> list[bytes]:
-        os.makedirs(dirpath, exist_ok=True)
-        return ray.get(
-            [
-                h.dump_npz.remote(os.path.join(dirpath, f"shard_{j}.npz"))
-                for j, h in enumerate(self.handles)
-            ]
-        )
-
-    def load(self, dirpath: str) -> list[bytes]:
-        return ray.get(
-            [
-                h.load_npz.remote(os.path.join(dirpath, f"shard_{j}.npz"))
-                for j, h in enumerate(self.handles)
-            ]
-        )
-
-    def end_round(self, upto_round: int) -> None:
-        """Drop claim logs for rounds ≤ upto_round (their executions are
-        committed; no further task retries can arrive)."""
-        ray.get([h.end_round.remote(upto_round) for h in self.handles])
+    def load(self) -> list[bytes]:
+        """Rebuild every shard from the committed outputs (resume) → the
+        shards' chain digests."""
+        return ray.get([h.load.remote() for h in self.handles])
 
 
 def claim_scatter_submit(

@@ -23,6 +23,7 @@ from ethereum_raw_data_crawler_ray.pipelines.crawl import (
     pages_output,
 )
 from ethereum_raw_data_crawler_ray.pipelines.golden import GoldenCrawl
+from ethereum_raw_data_crawler_ray.state.cuckoo import CuckooFilter, slots_for
 from ethereum_raw_data_crawler_ray.state.politeness import ORDER_COLS, load_robots
 
 ERR_PERMILLE = 40  # inject deterministic transient fetch errors → retry path
@@ -54,9 +55,35 @@ def crawl_run(corpus_dir, ray_session):
     return cfg, pipe, totals
 
 
+# 256 buckets × 4 slots a seen shard: this corpus fills them to load
+# ~0.35, and every shard admits SNAPSHOT_FRACTION of the capacity
+# (~113 claims) by round 2 or 3, so it snapshots mid-crawl
+SNAP_CAPACITY = 900
+
+
+def snap_cfg(corpus_dir: str, tag: str) -> CrawlConfig:
+    return CrawlConfig(**{**make_cfg(corpus_dir, tag).__dict__,
+                          "seen_shard_capacity": SNAP_CAPACITY})
+
+
+def _snapshots(out_dir: str, shard: int) -> list[int]:
+    """Rounds of the seen snapshots shard ``shard`` wrote."""
+    d = os.path.join(out_dir, "seen", f"shard_{shard}")
+    return sorted(int(f[6:11]) for f in os.listdir(d)) if os.path.isdir(d) else []
+
+
 @pytest.fixture(scope="module")
-def golden_run(corpus_dir):
-    cfg = make_cfg(corpus_dir, "golden-unused")
+def snap_run(corpus_dir, ray_session):
+    """One uninterrupted crawl whose seen shards snapshot mid-crawl."""
+    cfg = snap_cfg(corpus_dir, "snap")
+    shutil.rmtree(cfg.out_dir, ignore_errors=True)
+    pipe = CrawlPipeline(cfg)
+    totals = pipe.run(max_rounds=60)
+    pipe.close()
+    return cfg, totals
+
+
+def _golden(corpus_dir: str, cfg: CrawlConfig) -> dict:
     g = GoldenCrawl(
         cfg.pages_path,
         load_robots(cfg.extra["robots_path"]),
@@ -69,13 +96,40 @@ def golden_run(corpus_dir):
         skip_rounds=cfg.skip_rounds,
         error_permille=ERR_PERMILLE,
     )
-    import pyarrow.parquet as pq
-
     return g.run(pq.read_table(corpus_dir + "/seeds.parquet"), max_rounds=60)
+
+
+@pytest.fixture(scope="module")
+def golden_run(corpus_dir):
+    return _golden(corpus_dir, make_cfg(corpus_dir, "golden-unused"))
 
 
 def _rounds_df(out_dir: str) -> pd.DataFrame:
     return pages_output(out_dir).to_pandas()
+
+
+def _assert_same_crawl(ref_dir: str, out_dir: str) -> None:
+    """Same fetched pages and the same full lineage (seen-shard digests
+    included; ``wall_s`` excepted) as the crawl under ``ref_dir``."""
+    a = _rounds_df(ref_dir).sort_values("url").reset_index(drop=True)
+    b = _rounds_df(out_dir).sort_values("url").reset_index(drop=True)
+    cols = ["url", "text", "round", "depth"]
+    pd.testing.assert_frame_equal(a[cols], b[cols])
+    la, lb = (lineage_output(d).to_pandas().sort_values(["round", "partition_id"])
+              .reset_index(drop=True).drop(columns=["wall_s"]) for d in (ref_dir, out_dir))
+    pd.testing.assert_frame_equal(la, lb)
+
+
+def _wait_restarted(handle) -> None:
+    """ray.kill is delivered out-of-band: wait until the actor's restart
+    is visible, so it lands at a round boundary."""
+    import ray
+
+    for _ in range(600):
+        if ray.get(handle.health.remote())["reconstructed"]:
+            return
+        time.sleep(0.05)
+    raise AssertionError("pool actor never reconstructed")
 
 
 class TestRoundCompleteness:
@@ -186,24 +240,23 @@ class TestRobots:
 
 
 class TestAltConfigPaths:
-    def test_ckpt_interval_matches_golden(self, golden_run, corpus_dir):
-        # checkpoint_every>1 skips seen dumps between rounds; the crawl
-        # must still equal the golden simulator's
-        cfg = make_cfg(corpus_dir, "altpaths")
-        cfg = CrawlConfig(
-            **{**cfg.__dict__, "extra": {**cfg.extra, "checkpoint_every": 3}}
-        )
-        shutil.rmtree(cfg.out_dir, ignore_errors=True)
-        p = CrawlPipeline(cfg)
-        p.run(max_rounds=60)
-        p.close()
+    def test_ckpt_interval_matches_golden(self, snap_run, corpus_dir):
+        # a crawl whose seen shards snapshot mid-crawl (filter load above
+        # 0.2) must still equal the golden simulator's at that capacity
+        cfg, totals = snap_run
+        for j in range(cfg.n_seen_shards):
+            snaps = _snapshots(cfg.out_dir, j)
+            assert snaps and snaps[0] < totals["last_round"], (j, snaps)
+        h = health_output(cfg.out_dir).to_pandas()
+        assert h.loc[h["component"] == "seen", "load_factor"].max() > 0.2
+        gold = _golden(corpus_dir, cfg)
         df = _rounds_df(cfg.out_dir)
         assert dict(zip(df["url"], df["text"])) == {
-            u: pg["text"] for u, pg in golden_run["pages"].items()
+            u: pg["text"] for u, pg in gold["pages"].items()
         }
         ev = events_output(cfg.out_dir).to_pandas()
         assert set(zip(ev["url"], ev["n_bytes"], ev["lang"], ev["round"])) == {
-            (e["url"], e["n_bytes"], e["lang"], e["round"]) for e in golden_run["events"]
+            (e["url"], e["n_bytes"], e["lang"], e["round"]) for e in gold["events"]
         }
 
 
@@ -672,23 +725,32 @@ class TestHealthOutput:
         mono = h.sort_values("round").groupby(["component", "shard_id"])[
             "cpu_s"].apply(lambda s: (s.diff().dropna() >= 0).all())
         assert mono.all()
+        # seen filter load (items / slots) and its analytic FP bound;
+        # store and cutoff rows read 0, and a shard's load never falls
+        slots = slots_for(cfg.seen_shard_capacity)
+        assert slots == CuckooFilter(cfg.seen_shard_capacity).table.size
+        seen = h[h["component"] == "seen"]
+        assert np.allclose(seen["load_factor"], seen["items"] / slots)
+        assert np.allclose(seen["fp_bound"], 8 * seen["load_factor"] / 2**16)
+        other = h[h["component"] != "seen"]
+        assert (other["load_factor"] == 0).all() and (other["fp_bound"] == 0).all()
+        grows = seen.sort_values("round").groupby("shard_id")["load_factor"].apply(
+            lambda s: (s.diff().dropna() >= 0).all())
+        assert grows.all()
 
 
 class TestSeenGapHeal:
     def test_shard_kill_with_sparse_checkpoints_matches(self, crawl_run, corpus_dir):
-        # ADVICE r02: with checkpoint_every > 1 a restarted seen shard
-        # restores a dump up to N-1 rounds old; the driver must detect it
-        # (consume_fresh) and replay the gap rounds' claims from the
-        # committed frontier outputs — crawl output AND lineage
-        # (including the fetched/error counts) must match the
+        # ADVICE r02: a restarted seen shard must not forget the claims
+        # made since its last snapshot. At this capacity no snapshot is
+        # ever due, so the killed shard rebuilds from the empty filter by
+        # replaying the committed claims — crawl output AND the full
+        # lineage, seen-shard digests included, must match the
         # uninterrupted run exactly
         import ray
 
         cfg_main, _, _ = crawl_run
         cfg = make_cfg(corpus_dir, "gapheal")
-        cfg = CrawlConfig(
-            **{**cfg.__dict__, "extra": {**cfg.extra, "checkpoint_every": 3}}
-        )
         shutil.rmtree(cfg.out_dir, ignore_errors=True)
         pipe = CrawlPipeline(cfg)
         pipe.prepare()
@@ -697,37 +759,64 @@ class TestSeenGapHeal:
         r = 0
         while r < 60 and pipe._frontier_count(r) > 0:
             stats = pipe.run_round(r)
-            if r == 1:  # newest complete dump is the bootstrap one
+            if r == 1:
                 ray.kill(pipe.seen.handles[1], no_restart=False)
-                # ray.kill is delivered out-of-band: under host load the
-                # next round's consume_fresh RPC can win the race and run
-                # on the NOT-yet-killed actor, deferring the heal past
-                # round 2 (whose claims then hit the stale restored
-                # filter).  The test pins boundary-detected restarts, so
-                # wait until the reconstruction is visible.
-                for _ in range(600):
-                    if ray.get(pipe.seen.handles[1].health.remote())["reconstructed"]:
-                        break
-                    time.sleep(0.05)
-                else:
-                    raise AssertionError("seen shard never reconstructed")
+                _wait_restarted(pipe.seen.handles[1])
             r += 1
             if stats["next_frontier"] == 0:
                 break
         pipe._join_bg()
-
-        a = _rounds_df(cfg_main.out_dir).sort_values("url").reset_index(drop=True)
-        b = _rounds_df(cfg.out_dir).sort_values("url").reset_index(drop=True)
-        cols = ["url", "text", "round", "depth"]
-        pd.testing.assert_frame_equal(a[cols], b[cols])
-        la = lineage_output(cfg_main.out_dir).to_pandas()
-        lb = lineage_output(cfg.out_dir).to_pandas()
-        keep = ["round", "partition_id", "urls_scheduled", "urls_fetched",
-                "urls_deferred", "urls_failed", "errors"]
-        la = la[keep].sort_values(["round", "partition_id"]).reset_index(drop=True)
-        lb = lb[keep].sort_values(["round", "partition_id"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(la, lb)
         pipe.close()
+        assert not any(_snapshots(cfg.out_dir, j) for j in range(cfg.n_seen_shards))
+        _assert_same_crawl(cfg_main.out_dir, cfg.out_dir)
+
+
+class TestSeenSnapshots:
+    """Recovery from a mid-crawl snapshot: the shard restores it and
+    replays only the committed rounds after it."""
+
+    def test_shard_kill_after_snapshot_matches(self, snap_run, corpus_dir):
+        import ray
+
+        cfg_ref, _ = snap_run
+        cfg = snap_cfg(corpus_dir, "snap_kill")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        pipe.prepare()
+        pipe.bootstrap(pq.read_table(corpus_dir + "/seeds.parquet"))
+        pipe._backfill_offers(0)
+        killed = None
+        r = 0
+        while r < 60 and pipe._frontier_count(r) > 0:
+            stats = pipe.run_round(r)
+            # kill shard 0 once it has a snapshot older than this round,
+            # so the restart restores it AND replays a round after it
+            snaps = _snapshots(cfg.out_dir, 0)
+            if killed is None and snaps and snaps[-1] < r:
+                ray.kill(pipe.seen.handles[0], no_restart=False)
+                _wait_restarted(pipe.seen.handles[0])
+                killed = r
+            r += 1
+            if stats["next_frontier"] == 0:
+                break
+        pipe._join_bg()
+        pipe.close()
+        assert killed is not None
+        _assert_same_crawl(cfg_ref.out_dir, cfg.out_dir)
+
+    def test_resume_after_snapshot_matches(self, snap_run, corpus_dir):
+        cfg_ref, _ = snap_run
+        cfg = snap_cfg(corpus_dir, "snap_resume")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        p1 = CrawlPipeline(cfg)
+        p1.run(max_rounds=5)  # "crash" after round 4
+        p1.close()
+        assert any(_snapshots(cfg.out_dir, j) and _snapshots(cfg.out_dir, j)[-1] < 4
+                   for j in range(cfg.n_seen_shards))
+        p2 = CrawlPipeline(cfg)  # fresh pipeline object = new process
+        p2.run(max_rounds=60)
+        p2.close()
+        _assert_same_crawl(cfg_ref.out_dir, cfg.out_dir)
 
 
 class TestWatchIngest:

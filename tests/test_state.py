@@ -141,6 +141,64 @@ class TestClaimReplay:
         assert not _replay_claims(f, claims, h, 1, tok).any()
 
 
+class TestSeenChain:
+    """A seen shard's lineage digest (state/seen.py) chains each round's
+    admitted claims, so it cannot depend on insert order or table layout,
+    and a filter rebuilt by replaying the admitted claims answers like
+    the original. Run at load 0.32 of a 1 << 19 shard, where two insert
+    orders lay the tables out differently."""
+
+    CAP = 1 << 19
+
+    @classmethod
+    def _distinct_keys(cls, n: int, seed: int) -> np.ndarray:
+        # Admitted claims have pairwise distinct keys (fp, {i1, i2}); two
+        # hashes sharing a key are a false positive, where whichever URL
+        # claims first wins and the crawl's own output changes with it.
+        # Keep the first hash of each key.
+        h = _hashes(n, seed=seed)
+        fp, i1, i2 = CuckooFilter(cls.CAP)._parts(h)
+        key = (fp.astype(np.uint64) << np.uint64(32)) | np.minimum(i1, i2).astype(np.uint64)
+        return h[np.sort(np.unique(key, return_index=True)[1])]
+
+    def test_digest_independent_of_insert_order(self):
+        from ethereum_raw_data_crawler_ray.state.seen import SeenShard, claim_token
+
+        h = self._distinct_keys(340_000, seed=40)
+        assert len(h) >= 330_000
+        rng = np.random.default_rng(41)
+        a, b = SeenShard(0, self.CAP), SeenShard(0, self.CAP)
+        chain_a, chain_b = [], []
+        for r, part in enumerate(np.array_split(h, 4)):
+            # a claims the round as 8 task batches through the claim log,
+            # b as one round-less batch, each in its own random order
+            for batch in np.array_split(rng.permutation(part), 8):
+                a.check_and_insert(batch, r, claim_token(batch))
+            b.check_and_insert(rng.permutation(part))
+            chain_a.append(a.end_round(r))
+            chain_b.append(b.end_round(r))
+        assert a.items() == b.items() == len(h)
+        assert a.items() / a.filter.table.size >= 0.3
+        assert chain_a == chain_b
+        assert a.digest() == b.digest()
+        # the layouts differ; the stored key sets do not
+        assert not (a.filter.table == b.filter.table).all()
+        assert a.filter.digest() == b.filter.digest()
+
+    def test_conditional_and_plain_replay_agree(self):
+        h = self._distinct_keys(340_000, seed=42)
+        rng = np.random.default_rng(43)
+        cond, plain = CuckooFilter(self.CAP), CuckooFilter(self.CAP)
+        assert cond.check_and_insert_many(rng.permutation(h)).all()
+        plain.insert_many(rng.permutation(h))
+        assert cond.count == plain.count == len(h)
+        probe = np.concatenate([_hashes(200_000, seed=44), h[::7]])
+        hit = cond.contains_many(probe)
+        assert (hit == plain.contains_many(probe)).all()
+        assert hit[200_000:].all()
+        assert cond.digest() == plain.digest()
+
+
 class TestOfferReplay:
     """A retried round task re-offers its batch; the cutoff must not move."""
 
