@@ -24,7 +24,9 @@ are pure functions of (url, round).
 
 Resume starts at the round after the last complete one (lineage
 ``_COMPLETE``): the seen shards rebuild from their newest snapshot plus
-the committed claims after it (state/seen.py), everything else is
+the committed claims after it (state/seen.py; a round's watch ingest
+lands only once the round before it is complete, so it is always
+replayed as the resumed round's claims), everything else is
 re-derived from the committed outputs (deterministic → bit-identical;
 tests kill -9 and compare). No decision anywhere reads a wall clock and
 every write is an idempotent tmp-dir + rename (:func:`_commit`). All
@@ -441,6 +443,11 @@ class CrawlPipeline:
         log_files = _new(os.path.join("logs", "*.parquet"))
         if not files and not url_files and not log_files:
             return 0
+        # round r-1 must be complete (lineage _COMPLETE) before any of
+        # round r's ingest lands: a crash then resumes at round r or later
+        # and replays this ingest as round r's claims, never at r-1, whose
+        # re-run would admit the ingested URLs again as discovered rows
+        self._join_bg()
 
         # A malformed external push must never wedge the watch loop: the
         # reference WS listener logs-and-continues on a bad message

@@ -123,6 +123,7 @@ class GoldenCrawl:
             if not len(f):
                 break
             f = self._round(r, f)
+            self.seen.end_round(r)
         return {
             "rounds": len(self.fetch_order),
             "fetched": sum(len(x) for x in self.fetch_order),

@@ -29,8 +29,6 @@ execution fills tables differently while answering identically.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 _SLOTS = 4
@@ -121,13 +119,6 @@ class CuckooFilter:
             novel[j] = True
         return novel
 
-    def insert_many(self, hashes: np.ndarray) -> None:
-        """Insert every hash without a membership check — for replaying
-        keys known to be pairwise distinct and absent (a seen shard's
-        committed claims); a repeated key would be stored twice."""
-        for f, b1, b2 in zip(*self._parts(hashes)):
-            self._insert(f, b1, b2)
-
     def _insert(self, f: np.uint16, b1: int, b2: int) -> None:
         table = self.table
         for b in (b1, b2):
@@ -157,19 +148,6 @@ class CuckooFilter:
         raise RuntimeError(f"cuckoo shard full (count={self.count}, buckets={self.n_buckets})")
 
     # --- state -------------------------------------------------------------
-    def digest(self) -> bytes:
-        """Digest of the stored key set: each occupied slot's canonical
-        key ``(min(b, alt(b)), fp)`` — the same for either bucket the
-        item sits in — sorted, so the digest does not depend on insert
-        order or table layout."""
-        b, s = np.nonzero(self.table)
-        f = self.table[b, s]
-        alt = (b.astype(np.uint64) ^ _FPMIX[f]) & self.mask
-        keys = (np.minimum(b.astype(np.uint64), alt) << np.uint64(16)) | f.astype(np.uint64)
-        h = hashlib.sha256(np.sort(keys).tobytes())
-        h.update(self.count.to_bytes(8, "little"))
-        return h.digest()
-
     def dump(self) -> dict:
         return {"table": self.table.copy(), "count": self.count, "seed": self.seed}
 

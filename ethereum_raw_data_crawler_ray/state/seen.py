@@ -67,7 +67,8 @@ def _scatter_gather(handles: list, hashes: np.ndarray, call, get=list) -> np.nda
 
 class LocalSeenSet:
     """In-process shards (golden simulator + unit tests): the same
-    :class:`SeenShard` role the actor pool hosts, without snapshots."""
+    :class:`SeenShard` role the actor pool hosts, without snapshots. Its
+    owner calls :meth:`end_round` after each round, as the crawl does."""
 
     def __init__(self, n_shards: int, capacity_per_shard: int):
         self.n_shards = n_shards
@@ -78,6 +79,10 @@ class LocalSeenSet:
 
     def contains(self, hashes: np.ndarray) -> np.ndarray:
         return _scatter_gather(self.shards, hashes, lambda s, h: s.contains(h))
+
+    def end_round(self, upto_round: int) -> list[bytes]:
+        """Chain each shard's claims since the last end_round → digests."""
+        return [s.end_round(upto_round)[0] for s in self.shards]
 
     def digests(self) -> list[bytes]:
         return [s.digest() for s in self.shards]
@@ -206,14 +211,6 @@ class SeenShard:
     def _own(self, hashes: np.ndarray) -> np.ndarray:
         return hashes[url_owner(hashes, self.n_shards) == self.shard_id]
 
-    def _advance(self, r: int, admitted: np.ndarray) -> None:
-        h = hashlib.sha256(self._digest)
-        h.update(len(admitted).to_bytes(8, "little"))
-        h.update(np.sort(admitted).tobytes())
-        self._digest, self._round = h.digest(), r
-        self._admitted = []
-        self._unsaved += len(admitted)
-
     def check_and_insert(
         self, hashes: np.ndarray, round_no: int | None = None, token: int | None = None
     ) -> np.ndarray:
@@ -229,8 +226,14 @@ class SeenShard:
         snapshot due). A no-op for a round the shard already replayed."""
         if upto_round > self._round:
             log = self._claims.get(upto_round, {})
-            self._advance(upto_round, np.concatenate(
-                [*self._admitted, np.fromiter(log, dtype=np.uint64, count=len(log))]))
+            admitted = np.concatenate(
+                [*self._admitted, np.fromiter(log, dtype=np.uint64, count=len(log))])
+            h = hashlib.sha256(self._digest)
+            h.update(len(admitted).to_bytes(8, "little"))
+            h.update(np.sort(admitted).tobytes())
+            self._digest, self._round = h.digest(), upto_round
+            self._admitted = []
+            self._unsaved += len(admitted)
         self._claims = {r: v for r, v in self._claims.items() if r > upto_round}
         due = bool(self.out_dir) and self._unsaved >= SNAPSHOT_FRACTION * self.capacity
         return self._digest, due
@@ -260,9 +263,8 @@ class SeenShard:
                  if int(p[-9:-4]) <= top]
         self._restore(max(snaps) if snaps else None)
         for r in range(self._round + 1, top + 1):
-            keys = self._own(_committed_claims(self.out_dir, r))
-            self.filter.insert_many(keys)
-            self._advance(r, keys)
+            self.check_and_insert(self._own(_committed_claims(self.out_dir, r)))
+            self.end_round(r)
         self.check_and_insert(self._own(_committed_claims(self.out_dir, top + 1, pending=True)))
         return self._digest
 

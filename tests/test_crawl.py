@@ -976,6 +976,47 @@ class TestWatchIngest:
         cols = ["url", "text", "round", "depth"]
         pd.testing.assert_frame_equal(a[cols], b[cols])
 
+    def test_crash_before_lineage_resumes_identically(self, corpus_dir, ray_session):
+        # a crash while round 1's lineage is still being written, with a
+        # push already waiting: round 2's ingest must not land before
+        # round 1 is complete, else the resume re-runs round 1 and admits
+        # the pushed URLs a second time as discovered rows. The resume
+        # re-runs round 1, which now sees the push, so the crawl must
+        # equal an uninterrupted one pushed at round 1, full lineage
+        # included.
+        ref = self._watch_cfg(corpus_dir, "watch_lin_ref")
+        shutil.rmtree(ref.out_dir, ignore_errors=True)
+        self._drive(ref, corpus_dir, push_at=1)
+
+        cfg = self._watch_cfg(corpus_dir, "watch_lin_crash")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        pipe.prepare()
+        pipe.bootstrap(pq.read_table(corpus_dir + "/seeds.parquet"))
+        pipe._backfill_offers(0)
+        lineage = pipe._lineage
+
+        def crash_in_round_1(r, *a, **kw):
+            if r == 1:
+                raise RuntimeError("killed before lineage _COMPLETE")
+            return lineage(r, *a, **kw)
+
+        pipe._lineage = crash_in_round_1
+        for r in range(2):
+            pipe.ingest_new_pages(r)
+            pipe.run_round(r)
+        shutil.copy(self._push_file(corpus_dir),
+                    os.path.join(cfg.extra["watch_dir"], "push1.parquet"))
+        with pytest.raises(RuntimeError, match="background"):
+            pipe.ingest_new_pages(2)
+        pipe.close()
+        assert pipe.last_complete_round() == 0
+        assert not os.path.exists(os.path.join(cfg.out_dir, "ingest", "round_00002"))
+        p2 = CrawlPipeline(cfg)
+        p2.run(max_rounds=60)
+        p2.close()
+        _assert_same_crawl(ref.out_dir, cfg.out_dir)
+
     def test_urls_and_logs_channels(self, corpus_dir, ray_session):
         # the reference's three WS subscription types
         # (websocket_listener.go:119-196) map to three watch channels:

@@ -51,7 +51,10 @@ class TestCuckoo:
         a, b = CuckooFilter(100_000), CuckooFilter(100_000)
         a.check_and_insert_many(h)
         b.check_and_insert_many(h[::-1].copy())
-        assert a.digest() == b.digest()
+        # contains() answers depend only on the inserted key set
+        probe = np.concatenate([h, _hashes(50_000, seed=30)])
+        assert a.count == b.count == len(h)
+        assert (a.contains_many(probe) == b.contains_many(probe)).all()
 
     def test_high_load_with_fixed_low_bits(self):
         # regression (ADVICE r01): shard routing consumes the raw hash's
@@ -80,7 +83,8 @@ class TestCuckoo:
         h = _hashes(1_000, seed=4)
         f.check_and_insert_many(h)
         g = CuckooFilter.restore(f.dump())
-        assert g.digest() == f.digest()
+        assert g.count == f.count
+        assert (g.table == f.table).all()
         assert g.contains_many(h).all()
         assert not g.check_and_insert_many(h).any()
 
@@ -99,7 +103,11 @@ class TestSeenSet:
         h = _hashes(1_000, seed=6)
         s1.check_and_insert(h)
         s2.check_and_insert(h[::-1].copy())
-        assert s1.digests() == s2.digests()
+        assert s1.end_round(0) == s2.end_round(0) == s1.digests()
+        # the round's digests depend on what each shard admitted
+        s3 = LocalSeenSet(4, 10_000)
+        s3.check_and_insert(h[1:])
+        assert sum(a != b for a, b in zip(s3.end_round(0), s1.digests())) == 1
 
 
 class TestClaimReplay:
@@ -183,20 +191,10 @@ class TestSeenChain:
         assert a.digest() == b.digest()
         # the layouts differ; the stored key sets do not
         assert not (a.filter.table == b.filter.table).all()
-        assert a.filter.digest() == b.filter.digest()
-
-    def test_conditional_and_plain_replay_agree(self):
-        h = self._distinct_keys(340_000, seed=42)
-        rng = np.random.default_rng(43)
-        cond, plain = CuckooFilter(self.CAP), CuckooFilter(self.CAP)
-        assert cond.check_and_insert_many(rng.permutation(h)).all()
-        plain.insert_many(rng.permutation(h))
-        assert cond.count == plain.count == len(h)
         probe = np.concatenate([_hashes(200_000, seed=44), h[::7]])
-        hit = cond.contains_many(probe)
-        assert (hit == plain.contains_many(probe)).all()
+        hit = a.contains(probe)
+        assert (hit == b.contains(probe)).all()
         assert hit[200_000:].all()
-        assert cond.digest() == plain.digest()
 
 
 class TestOfferReplay:
