@@ -1,18 +1,18 @@
 """The crawl round loop — the engine's flagship pipeline.
 
-Ray-Data-native lifecycle (SURVEY.md §3.4), replacing the reference's
+Ray-native lifecycle (SURVEY.md §3.4), replacing the reference's
 WebSocket-listener/scheduler/worker-pool loop (``scheduler_service.go``,
 ``crawler_service.go``) with a driver-side round loop. Each round is
-ONE streaming Dataset execution of the fused ``round_step`` stage
-(stages/roundstep.py — gate → fetch from the page-store actors →
-extract → enrich → carry → discover/seen-claim → politeness offers for
-r+1), writing the combined round table atomically, hive-partitioned by
-``row_kind`` so the next round's frontier read touches only thin
-carry/discovered files:
+ONE fan-out of Ray tasks, one per balanced frontier item, each running
+the fused ``round_step`` stage (stages/roundstep.py — gate → fetch from
+the page-store actors → extract → enrich → carry → discover/seen-claim
+→ politeness offers for r+1) and writing its part of the round table,
+hive-partitioned by ``row_kind`` so the next round's frontier read
+touches only thin carry/discovered files:
 
   round r:
-    collect politeness cutoffs for r (offered during round r-1's exec)
-    read frontier_r → map_batches(round_task) → rounds/round_r (atomic)
+    collect politeness cutoffs for r (offered during round r-1's tasks)
+    fan_out(round_task) over frontier_r's spans → rounds/round_r (atomic)
     seen end_round(r): chain each shard's digest over the round's
       admitted claims (O(round); a rare snapshot when one is due)
     events projection + per-shard lineage (overlapped with round r+1)
@@ -42,7 +42,6 @@ import shutil
 import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -54,7 +53,7 @@ from ..functions.hashing import hash_strings
 from ..functions.urlnorm import normalize_many
 from ..schema import FRONTIER, LINEAGE, frontier_table
 from ..stages.fetch import STATUS_ERROR, STATUS_FETCHED, build_fetch_index
-from ..stages.roundstep import lineage_counts, round_task
+from ..stages.roundstep import STAGES, fan_out, lineage_counts, offer_task, round_task
 from ..state.cuckoo import slots_for
 from ..state.politeness import (
     CutoffPool,
@@ -73,20 +72,21 @@ from ..state.store import ActorPageStore
 MAX_CUTOFF_BROADCAST = 500_000
 
 
-def _commit(final_dir: str, table: pa.Table | None = None, fill=None) -> None:
+def _commit(final_dir: str, table: pa.Table | None = None, fill=None):
     """Publish ``final_dir`` atomically: fill a fresh ``.tmp`` sibling —
     ``table`` as ``part-0.parquet`` (nothing when None), then
     ``fill(tmp)`` for any other files — and swap it in by rename.
-    Idempotent: a replayed write overwrites the same dir."""
+    Idempotent: a replayed write overwrites the same dir. → what
+    ``fill`` returned."""
     tmp = final_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
     if table is not None:
         pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
-    if fill is not None:
-        fill(tmp)
+    filled = fill(tmp) if fill is not None else None
     shutil.rmtree(final_dir, ignore_errors=True)
     os.rename(tmp, final_dir)
+    return filled
 
 
 def frontier_from_seeds(seeds: pa.Table) -> pa.Table:
@@ -193,8 +193,7 @@ class CrawlPipeline:
     #     thin carry/discovered files and counts are metadata-only; round
     #     0 reads the bootstrap dir) ---------------------------------------
     def _frontier_source(self, r: int) -> list[str]:
-        """Parquet file paths holding round r's frontier rows (ray's
-        read_parquet wants explicit files when given a list)."""
+        """Parquet file paths holding round r's frontier rows."""
         import glob as _glob
 
         if r == 0:
@@ -237,16 +236,22 @@ class CrawlPipeline:
     def _frontier_count(self, r: int) -> int:
         return sum(n for _, n in self._frontier_plan(r))
 
+    def _round_items(self, r: int) -> list[dict]:
+        """Round r's frontier as ~4 waves of equal task items: file
+        sizes follow the producing tasks' skew, so balance comes from
+        packing spans to equal row counts, not from moving rows."""
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
+        n = self._frontier_count(r)
+        batch = max(256, min(self.cfg.extract_batch_size, -(-n // (4 * ncpu))))
+        return self._balanced_items(self._frontier_plan(r), batch, 4 * ncpu)
+
     @staticmethod
     def _balanced_items(plan: list, batch: int, max_tasks: int) -> list[dict]:
         """Pack frontier file spans into ``batch``-row processing groups,
-        then those groups into ≤ ``max_tasks`` task items — the
-        shuffle-free replacement for ``repartition(ntasks)``: task
-        balance comes from the assignment, not from moving rows. Item
-        count stays O(cluster cores) regardless of frontier size (a
-        10^10-URL round must not enumerate one driver item per batch);
-        within a task, ``round_task`` streams one batch group at a time
-        (generator), so task memory stays one batch wide."""
+        then those groups into ≤ ``max_tasks`` task items numbered by
+        ``task``: tasks balance by the assignment, not by moving rows,
+        and the item count stays O(cluster cores) however large the
+        frontier (a task handles one batch group at a time)."""
         groups: list[tuple[list, list, list]] = []
         cur_p: list = []
         cur_o: list = []
@@ -272,18 +277,16 @@ class CrawlPipeline:
         # consecutive file regions, so striding also spreads any residual
         # per-file skew across tasks
         n_tasks = max(1, min(len(groups), max_tasks))
-        items: list[dict] = []
-        for t in range(n_tasks):
-            mine = groups[t::n_tasks]
-            items.append(
-                {
-                    "paths": [p for g in mine for p in g[0]],
-                    "offsets": [o for g in mine for o in g[1]],
-                    "lengths": [ln for g in mine for ln in g[2]],
-                    "batch_id": [bi for bi, g in enumerate(mine) for _ in g[0]],
-                }
-            )
-        return items
+        return [
+            {
+                "task": t,
+                "paths": [p for g in mine for p in g[0]],
+                "offsets": [o for g in mine for o in g[1]],
+                "lengths": [ln for g in mine for ln in g[2]],
+                "batch_id": [bi for bi, g in enumerate(mine) for _ in g[0]],
+            }
+            for t, mine in enumerate(groups[t::n_tasks] for t in range(n_tasks))
+        ]
 
     # --- automatic host-skew salting state (SURVEY.md §4) ----------------
     # hot maps host → per-host salt count for one specific round; decided
@@ -339,28 +342,13 @@ class CrawlPipeline:
         )
 
     def _backfill_offers(self, r: int) -> None:
-        """Stream politeness offers for round ``r`` from its frontier
-        source — needed at bootstrap and at resume, where the producing
-        execution's offers are gone with the old process. One extra
-        (cheap, thin-column) execution; everything is re-derived
+        """Offer round ``r``'s frontier to the politeness cutoffs — needed
+        at bootstrap and at resume, where the producing round's offers
+        are gone with the old process. The same task fan-out as a round,
+        over the thin frontier columns; everything is re-derived
         deterministically."""
-        if self._frontier_count(r) == 0:
-            return
-        src = self._frontier_source(r)
-        kwargs = dict(self._politeness_kwargs(), robots_ref=self.robots_ref,
-                      round_no=r, hot=self._load_hot(r))
-
-        def offers_only(df: pd.DataFrame, **kw) -> pa.Table:
-            from ..functions.broadcast import get_broadcast
-
-            kw = dict(kw)
-            kw["robots"] = get_broadcast(kw.pop("robots_ref"))
-            offer_candidates(df, **kw)
-            return pa.table({"n": pa.array([len(df)], type=pa.int64())})
-
-        rd.read_parquet(src, columns=[f.name for f in FRONTIER]).map_batches(
-            offers_only, fn_kwargs=kwargs, batch_format="pandas", batch_size=8192
-        ).count()
+        fan_out(offer_task, self._round_items(r), robots_ref=self.robots_ref,
+                round_no=r, hot=self._load_hot(r), **self._politeness_kwargs())
 
     def _backfill_errors(self, r: int) -> None:
         """Authoritatively re-derive round ``r``'s per-host fetch-error
@@ -636,18 +624,15 @@ class CrawlPipeline:
 
     # --- one round --------------------------------------------------------
     def run_round(self, r: int) -> dict:
-        """ONE Ray execution per round — the fused round_task reads its
-        pre-balanced frontier file spans and runs round_step
-        (gate→fetch→extract→carry→discover→offer), writing a combined
-        table; see stages/roundstep.py. No repartition barrier, no
-        separate read stage, no extra stamp stage — the per-round fixed
-        cost is one execution launch plus the atomic write rename (r02
-        verdict #1)."""
+        """ONE task fan-out per round: each round_task reads its frontier
+        spans, runs round_step and writes its part of the round table
+        (stages/roundstep.py); the round commits by one rename. → stats:
+        ``t_main`` times submit → commit; ``stage_s`` sums the ``tasks``
+        tasks' stage seconds; ``rows`` counts the frontier rows read."""
         cfg = self.cfg
         t0 = time.perf_counter()
         rounds_dir = self._p("rounds", f"round_{r:05d}")
         n_frontier = self._frontier_count(r)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
 
         if self.cutoff_pool.consume_fresh():
             # a cutoff shard restarted: its buffered offers for this
@@ -687,27 +672,12 @@ class CrawlPipeline:
             error_backoff=bool(cfg.extra.get("error_backoff", False)),
             **self._politeness_kwargs(),
         )
-        # ~4 waves of equal-sized tasks: the parquet files' natural sizes
-        # follow the producing tasks' skew (carry vs discovered files
-        # differ 5-10×), and uneven tasks turn the last wave into a
-        # straggler tail. Balance comes from the ASSIGNMENT (file spans
-        # packed to equal row counts from footer metadata) instead of a
-        # repartition of the rows — same equal tasks, zero all-to-all,
-        # and the read happens inside the round task itself.
-        batch = max(256, min(cfg.extract_batch_size, -(-n_frontier // (4 * ncpu))))
-        items = self._balanced_items(self._frontier_plan(r), batch, 4 * ncpu)
+        items = self._round_items(r)
         t_m0 = time.perf_counter()
-        ds = rd.from_items(items, override_num_blocks=max(1, len(items))).map_batches(
-            round_task,
-            fn_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=None,  # one pre-balanced item per task
-        )
-        # hive-partitioned by row_kind: the next round's frontier read and
-        # the events/lineage reads each touch only their own files
-        _commit(rounds_dir, fill=lambda tmp: ds.write_parquet(tmp, partition_cols=["row_kind"]))
+        res = _commit(rounds_dir, fill=lambda tmp: fan_out(
+            round_task, items, out_dir=tmp, **kwargs))
         t_main = time.perf_counter() - t_m0
-        # execution barrier passed + output committed → claim logs for
+        # every task returned + output committed → claim logs for
         # this round can never be replayed again; the shards chain their
         # lineage digests over the round's admitted claims
         t_c0 = time.perf_counter()
@@ -751,6 +721,9 @@ class CrawlPipeline:
             "wall_s": wall,
             "t_main": round(t_main, 2),
             "t_ckpt": round(t_ckpt, 2),
+            "tasks": len(items),
+            "rows": sum(x["rows"] for x in res),
+            "stage_s": {k: sum(x["stage_s"][k] for x in res) for k in STAGES},
         }
 
     def _join_bg(self) -> None:

@@ -1,6 +1,7 @@
-"""The fused round step — ONE map_batches stage does the whole round.
+"""The fused round step — one Ray task per frontier item does the round.
 
-Every crawl round runs this stage: for each frontier batch the task
+Every crawl round fans :func:`round_task` out over its frontier items;
+for each frontier batch the task
   1. gates (robots / skip-window / politeness cutoff — cutoffs were
      collected from the offers streamed during the PREVIOUS round's
      execution, so no shuffle and no extra barrier is needed);
@@ -12,19 +13,20 @@ Every crawl round runs this stage: for each frontier batch the task
      seen shards (scatter; first claim wins — the round dedup);
   5. offers the r+1 candidates' partial top-k to the cutoff shards
      (politeness state for the NEXT round);
-  6. emits one combined Arrow table: page rows (row_kind="page") +
-     carry rows ("carry") + discovered rows ("discovered") — the next
-     round reads the same files filtered to row_kind != "page".
+  6. writes its page, carry and discovered rows hive-partitioned by
+     ``row_kind`` — the next round reads only the carry and discovered
+     files.
 
-The end-of-execution barrier makes steps 4/5 complete before round r+1
-starts; every side effect is deterministic and replay-safe under task
-retry: a cutoff shard keeps identical offered order tuples once, so a
-re-offered batch cannot move a cutoff; host-count, error and lineage
+The driver commits a round only once every task returned, so steps 4/5
+complete before round r+1 starts; every side effect is deterministic
+and replay-safe under task retry: a cutoff shard keeps identical
+offered order tuples once, so a re-offered batch cannot move a
+cutoff; host-count, error and lineage
 reports are keyed by the batch token, so a retry overwrites its own
 report; and seen claims carry a content-derived claim token logged per
 round, so a retried task gets novel=True again for the rows it already
 claimed instead of silently dropping them (see
-``state.seen.claim_token``). One Ray execution per round total.
+``state.seen.claim_token``).
 
 The store, seen and cutoff shards are roles of one state actor pool
 (state/pool.py): ``store_handles[j]``, ``seen_handles[j]`` and
@@ -34,10 +36,17 @@ logical shard ids exactly as if each shard had its own process.
 
 from __future__ import annotations
 
+import itertools
+import os
+import time
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 
+from ..functions.broadcast import get_broadcast
 from ..functions.hashing import hash_strings
 from ..functions.urlnorm import normalize_many
 from ..schema import FRONTIER, frontier_table
@@ -55,6 +64,10 @@ from .fetch import STATUS_ERROR, STATUS_FETCHED, _assemble, transient_fail_mask
 ROW_PAGE = "page"
 ROW_CARRY = "carry"
 ROW_DISC = "discovered"
+
+# a round task's stages: its span reads, then round_step's, in order
+STAGES = ("read", "gate", "fetch_lookup", "extract_enrich", "carry",
+          "explode_seen", "offers", "output")
 
 _FRONTIER_COLS = [f.name for f in FRONTIER]
 
@@ -112,37 +125,87 @@ def lineage_counts(url_hash, is_page, gate, status, n_shards: int) -> np.ndarray
     return np.stack([np.bincount(shard[m], minlength=n_shards) for m in masks]).astype(np.int64)
 
 
-def round_task(batch: pa.Table, *, round_no: int, **kwargs):
-    """Fused read + round_step task (r02 verdict #1 — the execution
-    floor). One item = a pre-balanced set of frontier file SPANS (path,
-    row offset, row count) grouped into batch-sized processing groups
-    (``batch_id``), packed by the driver from Parquet footer metadata —
-    so every task processes the same number of frontier rows without
-    the per-round ``repartition(ntasks)`` all-to-all barrier the
-    previous layout paid (read → repartition → map became one task:
-    read own spans → round_step → write). A GENERATOR over the batch
-    groups: task memory stays one batch wide however many groups the
-    item carries (item count is O(cluster cores), not O(frontier)).
-    The round column is stamped here too, removing the extra map
-    stage."""
-    import pyarrow.parquet as _pq
+def round_task(item: dict, *, round_no: int, out_dir: str, **kwargs) -> dict:
+    """Read, round_step and write one pre-balanced item (frontier file
+    spans in batch groups), one group at a time, so task memory stays
+    one group wide. → the frontier rows read and the seconds of each of
+    :data:`STAGES`, summed over the groups."""
+    res = {"rows": 0, "stage_s": dict.fromkeys(STAGES, 0.0)}
 
-    for paths, offs, lens, bids in zip(
-        batch["paths"].to_pylist(), batch["offsets"].to_pylist(),
-        batch["lengths"].to_pylist(), batch["batch_id"].to_pylist(),
-    ):
-        groups: dict[int, list] = {}
-        for p, o, ln, bi in zip(paths, offs, lens, bids):
-            groups.setdefault(bi, []).append((p, o, ln))
-        for bi in sorted(groups):
-            tables = []
-            for p, o, ln in groups[bi]:
-                tables.append(_read_span(_pq, p, o, ln))
-            df = pa.concat_tables(tables).to_pandas()
-            out = round_step(df, round_no=round_no, **kwargs)
-            yield out.append_column(
-                "round", pa.array(np.full(len(out), round_no, dtype=np.int32))
-            )
+    def outputs():
+        t0 = time.perf_counter()
+        for df in _item_frames(item):
+            res["stage_s"]["read"] += time.perf_counter() - t0
+            res["rows"] += len(df)
+            parts, durs = round_step(df, round_no=round_no, **kwargs)
+            for k, d in zip(STAGES[1:], durs):
+                res["stage_s"][k] += d
+            yield {kind: t.append_column(
+                "round", pa.array(np.full(len(t), round_no, dtype=np.int32)))
+                for kind, t in parts.items()}
+            t0 = time.perf_counter()
+
+    write_round_part(outputs(), out_dir, item["task"])
+    return res
+
+
+def offer_task(item: dict, *, robots_ref, **kwargs) -> None:
+    """Offer one item's frontier rows to the politeness cutoffs."""
+    for df in _item_frames(item):
+        offer_candidates(df, robots=get_broadcast(robots_ref), **kwargs)
+
+
+# the Ray Data map task's contract (ray.data cached_remote_fn defaults):
+# a worker crash is retried without limit, an application error is not,
+# and no caller placement group is inherited
+@ray.remote(num_cpus=1, max_retries=-1,
+            retry_exceptions=[ray.exceptions.RaySystemError],
+            scheduling_strategy="DEFAULT")
+def _item_task(fn, item: dict, kwargs: dict):
+    return fn(item, **kwargs)
+
+
+def fan_out(fn, items: list[dict], **kwargs) -> list:
+    """``fn(item, **kwargs)`` for every item, one bare Ray task each;
+    → their results in item order. A failure cancels the other tasks,
+    so none writes on into an abandoned round."""
+    refs = [_item_task.remote(fn, item, kwargs) for item in items]
+    try:
+        return ray.get(refs)
+    except Exception:
+        for ref in refs:
+            ray.cancel(ref)
+        raise
+
+
+def _item_frames(item: dict):
+    """Each of an item's batch groups (runs of equal ``batch_id``) read
+    into one frontier DataFrame."""
+    spans = zip(item["batch_id"], item["paths"], item["offsets"], item["lengths"])
+    for _, group in itertools.groupby(spans, key=lambda s: s[0]):
+        yield pa.concat_tables([_read_span(pq, *s[1:]) for s in group]).to_pandas()
+
+
+def write_round_part(parts, out_dir: str, task_idx: int) -> None:
+    """Write a task's ``{row_kind: table}`` per batch group as hive
+    ``out_dir/row_kind=<kind>/part-<task_idx>.parquet``, one row group
+    per group. A kind with no rows gets no file; a retried task
+    overwrites its own files; a schema unlike the kind's first raises."""
+    writers: dict[str, pq.ParquetWriter] = {}
+    try:
+        for by_kind in parts:
+            for kind, t in by_kind.items():
+                if not len(t):
+                    continue
+                if kind not in writers:
+                    d = os.path.join(out_dir, f"row_kind={kind}")
+                    os.makedirs(d, exist_ok=True)
+                    writers[kind] = pq.ParquetWriter(
+                        os.path.join(d, f"part-{task_idx:05d}.parquet"), t.schema)
+                writers[kind].write_table(t)
+    finally:
+        for w in writers.values():
+            w.close()
 
 
 def _read_span(_pq, path: str, offset: int, length: int) -> pa.Table:
@@ -173,17 +236,12 @@ def _read_span(_pq, path: str, offset: int, length: int) -> pa.Table:
     return t.slice(offset - rg_start, length)
 
 
-def _null_fill_to(t: pa.Table, names: list[str], template: pa.Table) -> pa.Table:
-    """Add missing columns (typed nulls per the template) and order them."""
-    n = len(t)
-    cols = {}
-    for name in names:
-        if name in t.schema.names:
-            cols[name] = t[name]
-        else:
-            typ = template.schema.field(name).type
-            cols[name] = pa.nulls(n, type=typ)
-    return pa.table(cols)
+def _null_fill_to(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``t`` in ``schema``: missing columns as typed nulls, columns in
+    schema order and cast to its types."""
+    return pa.table(
+        [t[f.name] if f.name in t.schema.names else pa.nulls(len(t), f.type)
+         for f in schema], names=schema.names).cast(schema)
 
 
 def round_step(
@@ -207,19 +265,16 @@ def round_step(
     hot_offer: dict | None = None,  # per-host salt map for round r+1's offers
     error_backoff: bool = False,
     cutoff_pull: bool = False,  # pull transport: per-batch cutoff slices
-) -> pa.Table:
-    import os
-    import time as _time
-
-    from ..functions.broadcast import get_broadcast
+) -> tuple[dict[str, pa.Table], np.ndarray]:
+    """One frontier batch through the round's stages → (its output rows
+    by row kind, the seconds of each of its :data:`STAGES`)."""
     from ..state.seen import claim_scatter_finish, claim_scatter_submit
     from ..state.store import fetch_scatter
 
-    _timing = os.environ.get("ERDC_TIMING")
-    _marks = [_time.perf_counter()]
+    _marks = [time.perf_counter()]
 
     def _mark():
-        _marks.append(_time.perf_counter())
+        _marks.append(time.perf_counter())
 
     robots = get_broadcast(robots_ref)
     if cutoff_pull:
@@ -342,44 +397,14 @@ def round_step(
         round_no, task_key, lin, len(df)
     )
 
-    # 6. combined output ----------------------------------------------------
-    out_names = list(pages.schema.names) + ["row_kind"]
-    pages = pages.append_column(
-        "row_kind", pa.array(np.full(len(pages), ROW_PAGE, dtype=object), type=pa.string())
-    )
-    parts = [pages]
+    # 6. output: each kind's rows in the page rows' (explicitly typed)
+    # schema, so every part of every batch has the same schema -----------
+    parts = {ROW_PAGE: pages}
     if len(carry):
-        ct = pa.Table.from_pandas(carry, preserve_index=False)
-        ct = ct.set_column(
-            ct.schema.get_field_index("attempts"), "attempts",
-            ct["attempts"].cast(pa.int32()),
-        ).set_column(
-            ct.schema.get_field_index("skip_until_round"), "skip_until_round",
-            ct["skip_until_round"].cast(pa.int32()),
-        )
-        ct = ct.append_column(
-            "row_kind",
-            pa.array(np.full(len(ct), ROW_CARRY, dtype=object), type=pa.string()),
-        )
-        parts.append(_null_fill_to(ct, out_names, parts[0]))
+        parts[ROW_CARRY] = _null_fill_to(
+            pa.Table.from_pandas(carry, preserve_index=False), pages.schema)
     if len(disc):
-        dt = disc.append_column(
-            "row_kind",
-            pa.array(np.full(len(disc), ROW_DISC, dtype=object), type=pa.string()),
-        )
-        parts.append(_null_fill_to(dt, out_names, parts[0]))
-    parts[0] = _null_fill_to(parts[0], out_names, parts[0])
-    out = pa.concat_tables(parts)
-    import ray as _ray
-
-    _ray.get(lin_ref)  # the report must land before the round barrier
+        parts[ROW_DISC] = _null_fill_to(disc, pages.schema)
+    ray.get(lin_ref)  # the report must land before the round barrier
     _mark()  # output-build
-    if _timing:
-        import json as _json
-        import sys as _sys
-
-        names = ["gate", "fetch_lookup", "extract_enrich", "carry",
-                 "explode_seen", "offers", "output"]
-        durs = [round(_marks[i + 1] - _marks[i], 4) for i in range(len(_marks) - 1)]
-        print("ERDC_TIMING " + _json.dumps(dict(zip(names, durs))), file=_sys.stderr)
-    return out
+    return parts, np.diff(_marks)

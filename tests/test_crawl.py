@@ -51,7 +51,17 @@ def crawl_run(corpus_dir, ray_session):
     cfg = make_cfg(corpus_dir, "main")
     shutil.rmtree(cfg.out_dir, ignore_errors=True)
     pipe = CrawlPipeline(cfg)
+    # keep every round's stats: run() itself returns only the totals
+    pipe.round_stats = []
+    run_round = pipe.run_round
+
+    def recorded(r):
+        pipe.round_stats.append(run_round(r))
+        return pipe.round_stats[-1]
+
+    pipe.run_round = recorded
     totals = pipe.run(max_rounds=60)
+    del pipe.run_round
     return cfg, pipe, totals
 
 
@@ -684,6 +694,94 @@ class TestBalancedItems:
                         (500, 500), (999, 1), (130, 1)]:
             got = _read_span(pq, p, off, ln)
             assert got.equals(full.slice(off, ln)), (off, ln)
+
+
+class TestRoundStats:
+    def test_stage_seconds_present_and_bounded(self, crawl_run):
+        # each round reports its tasks' stage seconds: every stage, none
+        # negative, and no more than every task busy for the whole
+        # submit → commit window (t_main is rounded to 10 ms)
+        from ethereum_raw_data_crawler_ray.stages.roundstep import STAGES
+
+        cfg, pipe, totals = crawl_run
+        stats = pipe.round_stats
+        assert len(stats) == totals["rounds"]
+        frontier = pq.read_metadata(os.path.join(
+            cfg.out_dir, "frontier", "round_00000", "part-0.parquet")).num_rows
+        for s in stats:
+            assert set(s["stage_s"]) == set(STAGES)
+            assert all(v >= 0 for v in s["stage_s"].values()), s
+            assert s["tasks"] >= 1
+            assert sum(s["stage_s"].values()) <= s["tasks"] * (s["t_main"] + 0.005), s
+            # the tasks read every frontier row of the round once
+            assert s["rows"] == frontier, s
+            frontier = s["next_frontier"]
+
+
+class TestRoundPartWriter:
+    """``write_round_part`` without Ray: one task's output per batch
+    group in, the round's hive ``row_kind=`` layout out."""
+
+    @staticmethod
+    def _groups():
+        def t(kind, n, start):
+            return pa.table({"url": [f"http://{kind}.test/{start + i}" for i in range(n)],
+                             "round": pa.array([3] * n, type=pa.int32())})
+
+        return [{"page": t("page", 3, 0), "carry": t("carry", 2, 0),
+                 "discovered": t("discovered", 4, 0)},
+                {"page": t("page", 2, 3), "discovered": t("discovered", 0, 4)}]
+
+    @staticmethod
+    def _files(d):
+        return {os.path.relpath(os.path.join(root, f), d): pq.read_table(os.path.join(root, f))
+                for root, _, fs in os.walk(d) for f in fs}
+
+    def test_retry_overwrites_its_own_files(self, tmp_path):
+        from ethereum_raw_data_crawler_ray.stages.roundstep import write_round_part
+
+        once, twice = str(tmp_path / "once"), str(tmp_path / "twice")
+        write_round_part(self._groups(), once, 7)
+
+        def dies_after_first_group():
+            yield self._groups()[0]
+            raise RuntimeError("worker lost")
+
+        with pytest.raises(RuntimeError):
+            write_round_part(dies_after_first_group(), twice, 7)
+        write_round_part(self._groups(), twice, 7)  # the retry
+        a, b = self._files(once), self._files(twice)
+        assert sorted(a) == sorted(b) == [
+            f"row_kind={k}/part-00007.parquet" for k in ("carry", "discovered", "page")]
+        for f in a:
+            assert a[f].equals(b[f]), f
+
+    def test_no_rows_no_file(self, tmp_path):
+        from ethereum_raw_data_crawler_ray.stages.roundstep import write_round_part
+
+        d = str(tmp_path / "empty")
+        os.makedirs(d)
+        empty = {k: t.slice(0, 0) for k, t in self._groups()[0].items()}
+        write_round_part([empty, {}], d, 0)
+        assert os.listdir(d) == []
+
+    def test_hive_layout_reads_back_the_task_output(self, tmp_path):
+        import pyarrow.dataset as pads
+
+        from ethereum_raw_data_crawler_ray.stages.roundstep import write_round_part
+
+        d = str(tmp_path / "round")
+        write_round_part(self._groups(), d, 0)
+        write_round_part(self._groups()[1:], d, 1)
+        back = pads.dataset(d, format="parquet", partitioning="hive").to_table()
+        assert back.schema.names == ["url", "round", "row_kind"]
+        back = back.to_pandas()
+        for kind in ("page", "carry", "discovered"):
+            want = [u for g in self._groups() + self._groups()[1:] if kind in g
+                    for u in g[kind]["url"].to_pylist()]
+            got = back[back["row_kind"] == kind]
+            assert sorted(got["url"]) == sorted(want), kind
+            assert (got["round"] == 3).all()
 
 
 class TestLineageCounts:
