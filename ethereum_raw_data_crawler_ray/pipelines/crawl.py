@@ -53,7 +53,7 @@ from ..functions.hashing import hash_strings
 from ..functions.urlnorm import normalize_many
 from ..schema import FRONTIER, LINEAGE, frontier_table
 from ..stages.fetch import STATUS_ERROR, STATUS_FETCHED, build_fetch_index
-from ..stages.roundstep import STAGES, fan_out, lineage_counts, offer_task, round_task
+from ..stages.roundstep import STAGES, fan_out, offer_task, round_task
 from ..state.cuckoo import slots_for
 from ..state.politeness import (
     CutoffPool,
@@ -106,6 +106,11 @@ class CrawlPipeline:
         self.cutoff_pool: CutoffPool | None = None
         self.pool: StatePool | None = None
         self.robots_ref = None
+        self._robots: dict = {}  # driver-side copy (ingest offers)
+        self._prepared = False
+        # the previous round's events/lineage writer and its failure
+        self._bg = None
+        self._bg_exc: BaseException | None = None
         # round → [(frontier file, n_rows)] — footers read once per round
         # (shared by the count, the balanced task assignment and resume
         # healing; invalidated when watch-mode ingest adds files)
@@ -142,15 +147,14 @@ class CrawlPipeline:
         # The guard flag is set at the END, so a prepare() that failed
         # partway (e.g. pool creation raised) is retried in full rather
         # than leaving a half-initialized pipeline.
-        if getattr(self, "_prepared", False):
+        if self._prepared:
             return
         cfg = self.cfg
         os.makedirs(self.out, exist_ok=True)
         build_fetch_index(cfg.pages_path, cfg.index_dir, cfg.n_fetch_buckets)
         robots_path = cfg.extra.get("robots_path")
-        robots = load_robots(robots_path) if robots_path else {}
-        self._robots = robots  # driver-side copy (ingest offers)
-        self.robots_ref = ray.put(robots)
+        self._robots = load_robots(robots_path) if robots_path else {}
+        self.robots_ref = ray.put(self._robots)
         # the three state roles share ONE actor pool: actor j hosts store,
         # seen and cutoff shard j (state/pool.py) — spawning processes is
         # the set-up cost, so the pool spawns max(n) of them, not the sum
@@ -172,7 +176,6 @@ class CrawlPipeline:
             cfg.round_ms,
             cfg.default_crawl_delay_ms,
             cfg.max_per_host_round,
-            error_backoff=bool(cfg.extra.get("error_backoff", False)),
             pool=self.pool,
         )
         self.pool.start()
@@ -350,10 +353,20 @@ class CrawlPipeline:
         fan_out(offer_task, self._round_items(r), robots_ref=self.robots_ref,
                 round_no=r, hot=self._load_hot(r), **self._politeness_kwargs())
 
+    def _set_errors(self, r: int, hosts, error_classes) -> None:
+        """Fold round ``r``'s fetch-error hosts into per-host (timeout,
+        rate_limit) counts and SET them on every cutoff shard, the error
+        backoff signal for round r+1's budgets."""
+        rl = np.asarray(error_classes, dtype=object) == "rate_limit"
+        handles = self.cutoff_pool.handles
+        per_shard = errors_by_shard(np.asarray(hosts, dtype=object), rl, len(handles))
+        # an authoritative overwrite: shards with no errors are set too
+        ray.get([h.set_errors.remote(r, per_shard.get(j, {}))
+                 for j, h in enumerate(handles)])
+
     def _backfill_errors(self, r: int) -> None:
-        """Authoritatively re-derive round ``r``'s per-host fetch-error
-        counts from its committed output and SET them on the cutoff
-        shards (resume / shard-restart path for error backoff)."""
+        """Re-derive round ``r``'s fetch errors from its committed output
+        and set them (resume / shard-restart path for error backoff)."""
         src = self._p("rounds", f"round_{r:05d}")
         if r < 0 or not os.path.exists(src):
             return
@@ -361,13 +374,7 @@ class CrawlPipeline:
         t = pads.dataset(src, format="parquet").to_table(
             columns=["host", "error_class"], filter=pc.field("status") == STATUS_ERROR
         )
-        hosts = np.asarray(t["host"].to_pandas(), dtype=object)
-        rl = np.asarray(t["error_class"].to_pandas(), dtype=object) == "rate_limit"
-        handles = self.cutoff_pool.handles
-        per_shard = errors_by_shard(hosts, rl, len(handles))
-        # an authoritative overwrite: shards with no errors are set too
-        ray.get([h.set_errors.remote(r, per_shard.get(j, {}))
-                 for j, h in enumerate(handles)])
+        self._set_errors(r, t["host"].to_pylist(), t["error_class"].to_pylist())
 
     # --- incremental ingest (watch mode — the WS-push analog of
     #     websocket_scheduler.go:110-130: newly published pages are picked
@@ -626,9 +633,10 @@ class CrawlPipeline:
     def run_round(self, r: int) -> dict:
         """ONE task fan-out per round: each round_task reads its frontier
         spans, runs round_step and writes its part of the round table
-        (stages/roundstep.py); the round commits by one rename. → stats:
-        ``t_main`` times submit → commit; ``stage_s`` sums the ``tasks``
-        tasks' stage seconds; ``rows`` counts the frontier rows read."""
+        (stages/roundstep.py); the round commits by one rename, and only
+        if the tasks read every frontier row. → stats: ``t_main`` times
+        submit → commit; ``stage_s`` sums the ``tasks`` tasks' stage
+        seconds; ``rows`` counts the frontier rows read."""
         cfg = self.cfg
         t0 = time.perf_counter()
         rounds_dir = self._p("rounds", f"round_{r:05d}")
@@ -669,14 +677,24 @@ class CrawlPipeline:
             skip_rounds=cfg.skip_rounds,
             error_permille=int(cfg.extra.get("error_permille", 0)),
             enrich=bool(cfg.extra.get("enrich", False)),
-            error_backoff=bool(cfg.extra.get("error_backoff", False)),
             **self._politeness_kwargs(),
         )
         items = self._round_items(r)
+
+        def fill(tmp: str) -> list[dict]:
+            res = fan_out(round_task, items, out_dir=tmp, **kwargs)
+            rows = sum(x["rows"] for x in res)
+            if rows != n_frontier:
+                raise RuntimeError(
+                    f"round {r}: the tasks read {rows} of {n_frontier} frontier rows")
+            return res
+
         t_m0 = time.perf_counter()
-        res = _commit(rounds_dir, fill=lambda tmp: fan_out(
-            round_task, items, out_dir=tmp, **kwargs))
+        res = _commit(rounds_dir, fill=fill)
         t_main = time.perf_counter() - t_m0
+        if cfg.extra.get("error_backoff"):
+            self._set_errors(r, [h for x in res for h in x["error_hosts"]],
+                             [c for x in res for c in x["error_classes"]])
         # every task returned + output committed → claim logs for
         # this round can never be replayed again; the shards chain their
         # lineage digests over the round's admitted claims
@@ -684,13 +702,7 @@ class CrawlPipeline:
         digests = self.seen.end_round(r)
         t_ckpt = time.perf_counter() - t_c0
 
-        # lineage bincounts were accumulated on the cutoff shards by the
-        # round's own tasks; completeness is verified by the row total
-        # (a cutoff-shard restart mid-round loses reports → sum short →
-        # fall back to the driver-side recount, the rare path)
-        lin_counts, lin_rows = self.cutoff_pool.collect_lineage(r)
-        if lin_counts is None or lin_rows != n_frontier:
-            lin_counts = None
+        lin_counts = self.cutoff_pool.collect_lineage([x["lineage"] for x in res])
 
         # next-frontier size from file metadata (cheap, needed now for the
         # loop decision)
@@ -705,14 +717,13 @@ class CrawlPipeline:
             try:
                 self._write_events(r, rounds_dir)
                 self._write_health(r)
-                self._lineage(r, rounds_dir, digests, wall, pre=lin_counts)
+                self._lineage(r, lin_counts, digests, wall)
             except BaseException as e:  # surfaced by the next _join_bg
                 self._bg_exc = e
 
         self._join_bg()
         import threading
 
-        self._bg_exc = None
         self._bg = threading.Thread(target=_post, daemon=False)
         self._bg.start()
         return {
@@ -727,13 +738,11 @@ class CrawlPipeline:
         }
 
     def _join_bg(self) -> None:
-        bg = getattr(self, "_bg", None)
-        if bg is not None:
-            bg.join()
+        if self._bg is not None:
+            self._bg.join()
             self._bg = None
-            exc = getattr(self, "_bg_exc", None)
+            exc, self._bg_exc = self._bg_exc, None
             if exc is not None:
-                self._bg_exc = None
                 raise RuntimeError(
                     "background events/lineage write failed"
                 ) from exc
@@ -763,27 +772,6 @@ class CrawlPipeline:
             }
         )
         _commit(self._p("events", f"round_{r:05d}"), ev)
-
-    def _lineage_bincounts(self, rounds_dir: str) -> np.ndarray:
-        """Driver-side fallback: thin-column read of the round output →
-        per-seen-shard :func:`lineage_counts` matrix. A round normally
-        gets the SAME matrix from the per-batch reports accumulated on
-        the cutoff shards during the round (roundstep 5b, the same
-        function over each batch — nothing corpus-sized ever
-        crosses the driver); this path serves the shard-restart-mid-round
-        case where reports were lost."""
-        t = pads.dataset(rounds_dir, format="parquet", partitioning="hive").to_table(
-            columns=["url_hash", "gate", "status", "row_kind"]
-        )
-
-        def col(name):
-            return np.asarray(t[name].to_pandas(), dtype=object)
-
-        return lineage_counts(
-            np.asarray(t["url_hash"].to_pandas(), dtype=np.uint64),
-            col("row_kind") == "page", col("gate"), col("status"),
-            self.cfg.n_seen_shards,
-        )
 
     def _write_health(self, r: int) -> None:
         """Per-round component-health rows — the SystemHealth analog
@@ -844,11 +832,10 @@ class CrawlPipeline:
         )
         _commit(self._p("health", f"round_{r:05d}"), t)
 
-    def _lineage(self, r: int, rounds_dir: str, digests: list[bytes],
-                 wall_s: float, pre: np.ndarray | None = None) -> None:
+    def _lineage(self, r: int, counts: np.ndarray, digests: list[bytes],
+                 wall_s: float) -> None:
         cfg = self.cfg
-        c = pre if pre is not None else self._lineage_bincounts(rounds_dir)
-        scheduled, fetched, deferred, failed, errors = c
+        scheduled, fetched, deferred, failed, errors = counts
 
         rows = {
             "round": np.full(cfg.n_seen_shards, r, dtype=np.int32),

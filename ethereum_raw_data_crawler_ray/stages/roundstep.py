@@ -18,14 +18,15 @@ for each frontier batch the task
      files.
 
 The driver commits a round only once every task returned, so steps 4/5
-complete before round r+1 starts; every side effect is deterministic
-and replay-safe under task retry: a cutoff shard keeps identical
-offered order tuples once, so a re-offered batch cannot move a
-cutoff; host-count, error and lineage
-reports are keyed by the batch token, so a retry overwrites its own
-report; and seen claims carry a content-derived claim token logged per
-round, so a retried task gets novel=True again for the rows it already
-claimed instead of silently dropping them (see
+complete before round r+1 starts. A task's lineage counts and
+fetch-error hosts are its return value, which reaches the driver once
+per successful attempt. Every side effect is deterministic and
+replay-safe under task retry: a cutoff shard keeps identical offered
+order tuples once, so a re-offered batch cannot move a cutoff;
+host-count reports are keyed by the batch token, so a retry overwrites
+its own report; and seen claims carry a content-derived claim token
+logged per round, so a retried task gets novel=True again for the rows
+it already claimed instead of silently dropping them (see
 ``state.seen.claim_token``).
 
 The store, seen and cutoff shards are roles of one state actor pool
@@ -128,18 +129,23 @@ def lineage_counts(url_hash, is_page, gate, status, n_shards: int) -> np.ndarray
 def round_task(item: dict, *, round_no: int, out_dir: str, **kwargs) -> dict:
     """Read, round_step and write one pre-balanced item (frontier file
     spans in batch groups), one group at a time, so task memory stays
-    one group wide. → the frontier rows read and the seconds of each of
-    :data:`STAGES`, summed over the groups."""
-    res = {"rows": 0, "stage_s": dict.fromkeys(STAGES, 0.0)}
+    one group wide. → summed over the groups: the frontier ``rows``
+    read, the seconds of each of :data:`STAGES` and the ``lineage``
+    matrix; concatenated: the fetch-error hosts and their classes."""
+    res = {"rows": 0, "stage_s": dict.fromkeys(STAGES, 0.0), "lineage": 0,
+           "error_hosts": [], "error_classes": []}
 
     def outputs():
         t0 = time.perf_counter()
         for df in _item_frames(item):
             res["stage_s"]["read"] += time.perf_counter() - t0
             res["rows"] += len(df)
-            parts, durs = round_step(df, round_no=round_no, **kwargs)
+            parts, durs, lin, (eh, ec) = round_step(df, round_no=round_no, **kwargs)
             for k, d in zip(STAGES[1:], durs):
                 res["stage_s"][k] += d
+            res["lineage"] = res["lineage"] + lin
+            res["error_hosts"] += eh
+            res["error_classes"] += ec
             yield {kind: t.append_column(
                 "round", pa.array(np.full(len(t), round_no, dtype=np.int32)))
                 for kind, t in parts.items()}
@@ -263,11 +269,12 @@ def round_step(
     enrich: bool = False,
     hot_gate: dict | None = None,   # per-host salt map for THIS round's pkeys
     hot_offer: dict | None = None,  # per-host salt map for round r+1's offers
-    error_backoff: bool = False,
     cutoff_pull: bool = False,  # pull transport: per-batch cutoff slices
-) -> tuple[dict[str, pa.Table], np.ndarray]:
+) -> tuple[dict[str, pa.Table], np.ndarray, np.ndarray, tuple[list, list]]:
     """One frontier batch through the round's stages → (its output rows
-    by row kind, the seconds of each of its :data:`STAGES`)."""
+    by row kind, the seconds of each of its :data:`STAGES`, its
+    :func:`lineage_counts` matrix, (its fetch-error hosts, their error
+    classes))."""
     from ..state.seen import claim_scatter_finish, claim_scatter_submit
     from ..state.store import fetch_scatter
 
@@ -333,8 +340,8 @@ def round_step(
 
     # 4+5. discovered rows (explode + seen-claim) interleaved with the
     #    offers that don't depend on claim results: the claim calls are
-    #    SUBMITTED first, then the carry offers + error reports run while
-    #    those round trips are in flight, then claims are collected and
+    #    SUBMITTED first, then the carry offers run while those round
+    #    trips are in flight, then claims are collected and
     #    the novel discovered rows are offered (offers are additive
     #    per-key top-k unions, so splitting them is semantics-free).
     #    A pool actor hosting both a seen and a cutoff shard queues the
@@ -344,7 +351,7 @@ def round_step(
     # stable task identity: the input frontier batch's url_hash content.
     # Frontier batches partition a deduplicated frontier, so this is
     # unique across tasks and reproduced exactly by a Ray retry — it
-    # salts the seen-claim tokens and keys the error report (ADVICE r02)
+    # salts the seen-claim tokens (ADVICE r02)
     from ..state.seen import claim_token
 
     task_key = claim_token(df["url_hash"].to_numpy(dtype=np.uint64))
@@ -365,15 +372,6 @@ def round_step(
         cutoff_handles=cutoff_handles,
         hot=hot_offer,
     )
-    # error backoff signal: this batch's fetch-error hosts → the shard
-    # that will compute next round's budgets for them
-    if error_backoff and (status == STATUS_ERROR).any():
-        from ..state.politeness import note_errors_scatter
-
-        err_m = status == STATUS_ERROR
-        eh = np.asarray(pages["host"].to_pandas(), dtype=object)[err_m]
-        ec = np.asarray(pages["error_class"].to_pandas(), dtype=object)[err_m]
-        note_errors_scatter(cutoff_handles, round_no, eh, task_key, ec)
     if len(carry):
         offer_candidates(carry[_FRONTIER_COLS], **offer_kwargs)
     if pending is not None:
@@ -385,17 +383,14 @@ def round_step(
 
     _mark()  # offers
 
-    # 5b. lineage bincounts for this batch — reported to a cutoff shard
-    # keyed by the task token (retry-overwrite idempotent), so the driver
-    # never re-reads the round output to count. The same lineage_counts
-    # as CrawlPipeline._lineage_bincounts, over this batch's frontier rows.
+    # 5b. this batch's lineage counts and fetch-error hosts (the error
+    # backoff signal), returned with its rows
     df_status = np.full(len(df), None, dtype=object)
     df_status[page_positions] = status
     lin = lineage_counts(df["url_hash"].to_numpy(dtype=np.uint64), page_mask, gate,
                          df_status, len(seen_handles))
-    lin_ref = cutoff_handles[task_key % len(cutoff_handles)].report_lineage.remote(
-        round_no, task_key, lin, len(df)
-    )
+    errs = pages.select(["host", "error_class"]).filter(pa.array(status == STATUS_ERROR))
+    errors = (errs["host"].to_pylist(), errs["error_class"].to_pylist())
 
     # 6. output: each kind's rows in the page rows' (explicitly typed)
     # schema, so every part of every batch has the same schema -----------
@@ -405,6 +400,5 @@ def round_step(
             pa.Table.from_pandas(carry, preserve_index=False), pages.schema)
     if len(disc):
         parts[ROW_DISC] = _null_fill_to(disc, pages.schema)
-    ray.get(lin_ref)  # the report must land before the round barrier
     _mark()  # output-build
-    return parts, np.diff(_marks)
+    return parts, np.diff(_marks), lin, errors

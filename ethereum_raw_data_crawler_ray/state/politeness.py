@@ -299,24 +299,6 @@ def errors_by_shard(hosts: np.ndarray, rate_limit: np.ndarray, k: int) -> dict:
     }
 
 
-def note_errors_scatter(cutoff_handles: list, round_no: int,
-                        error_hosts: np.ndarray, task_key: int,
-                        error_classes: np.ndarray) -> None:
-    """Report this batch's fetch-error hosts to their owning cutoff
-    shards as per-class (timeout, rate_limit) counts (same hash-by-host
-    routing as offers/counts). ``task_key`` (the calling task's stable
-    identity — hash of its input frontier batch) keys the report so a
-    retried task overwrites rather than double-counts its errors
-    (ADVICE r02); error-host LISTS are not unique across tasks, so
-    content alone cannot key them."""
-    import ray
-
-    rl = np.asarray(error_classes, dtype=object) == "rate_limit"
-    per_shard = errors_by_shard(error_hosts, rl, len(cutoff_handles))
-    ray.get([cutoff_handles[j].note_errors.remote(round_no, counts, task_key)
-             for j, counts in per_shard.items()])
-
-
 def pull_cutoffs_for(
     df: pd.DataFrame,
     cutoff_handles: list,
@@ -461,13 +443,11 @@ class CutoffShard:
     from the object store."""
 
     def __init__(self, shard_id: int, robots_path: str | None, round_ms: int,
-                 default_delay_ms: int, max_per_host: int,
-                 error_backoff: bool = False):
+                 default_delay_ms: int, max_per_host: int):
         self._robots = load_robots(robots_path) if robots_path else {}
         self._round_ms = round_ms
         self._default_delay = default_delay_ms
         self._max_per_host = max_per_host
-        self._backoff = error_backoff
         self._host_budgets: dict = {}
         self.rounds: dict[int, _CutoffState] = {}
         # round → finalized cutoffs kept shard-RESIDENT for the pull
@@ -480,11 +460,10 @@ class CutoffShard:
         # prior one instead of double-counting (ADVICE r02); summed at
         # collect.
         self.host_counts: dict[int, dict[int, dict[str, int]]] = {}
-        # round → {batch_token: {host: fetch-error count}} (backoff
-        # signal; same idempotency scheme)
-        self.errors: dict[int, dict[int, dict[str, int]]] = {}
-        # round → {batch_token: (lineage bincounts, n_rows)}
-        self.lineage: dict[int, dict] = {}
+        # round → {host: (n_timeout, n_rate_limit)} (error backoff
+        # signal): set whole by the driver from the round tasks' returns
+        # or the committed round output, never by a task
+        self.errors: dict[int, dict[str, tuple[int, int]]] = {}
         # restart detection: offers buffered here are volatile; a
         # (re)started shard reports fresh=True once so the driver drops
         # the round's offer state everywhere and re-derives it from the
@@ -534,61 +513,26 @@ class CutoffShard:
         # backoff-shrunk collect will select — always safe)
         st.offer(payload, {pk: self._budget(pk) for pk in payload[0]})
 
-    def note_errors(self, round_no: int, counts: dict,
-                    bkey: int | None = None) -> None:
-        self.errors.setdefault(round_no, {})[bkey] = counts
-
-    def report_lineage(self, round_no: int, bkey: int,
-                       counts, n_rows: int) -> None:
-        """Per-batch lineage bincounts from inside round_step — keyed by
-        the batch token (retry overwrites, never double-counts). Moves
-        per-round lineage accounting OFF the driver (r02 verdict: the
-        driver re-read the whole round's thin columns every round)."""
-        self.lineage.setdefault(round_no, {})[bkey] = (counts, n_rows)
-
-    def collect_lineage(self, round_no: int):
-        """→ (summed counts array, total frontier rows covered). The
-        driver checks the row total against the frontier size to detect
-        lost reports (shard restart mid-round) and falls back to the
-        driver-side recount."""
-        d = self.lineage.pop(round_no, None)
-        if not d:
-            return None, 0
-        total = np.zeros_like(next(iter(d.values()))[0])
-        n = 0
-        for counts, n_rows in d.values():
-            total += counts
-            n += n_rows
-        return total, n
-
     def set_errors(self, round_no: int, counts: dict) -> None:
-        """Authoritative overwrite (resume / restart backfill, derived
-        from the committed round output)."""
-        self.errors[round_no] = {None: dict(counts)}
+        """Round ``round_no``'s per-host fetch-error class counts, which
+        shrink round ``round_no + 1``'s budgets (the driver sets them
+        only with error backoff on)."""
+        self.errors[round_no] = dict(counts)
 
     @staticmethod
     def _sum_batches(per_batch: dict) -> dict:
-        """Sum per-batch contributions; values are ints (host candidate
-        counts) or (timeout, rate_limit) pairs (error class counts)."""
+        """Sum the per-batch host candidate counts."""
         out: dict = {}
         for counts in per_batch.values():
             for h, c in counts.items():
-                if isinstance(c, (tuple, list)):
-                    p = out.get(h, (0, 0))
-                    out[h] = (p[0] + c[0], p[1] + c[1])
-                else:
-                    out[h] = out.get(h, 0) + c
+                out[h] = out.get(h, 0) + c
         return out
 
     def collect_and_drop(self, round_no: int) -> tuple[dict, dict]:
         hc = self._sum_batches(self.host_counts.pop(round_no, {}))
         st = self.rounds.pop(round_no, None)
         # budgets for THIS round shrink by last round's errors
-        err = (
-            self._sum_batches(self.errors.pop(round_no - 1, {}))
-            if self._backoff
-            else None
-        )
+        err = self.errors.pop(round_no - 1, None)
         self.errors = {r: v for r, v in self.errors.items() if r >= round_no - 1}
         if st is None:
             return {}, hc
@@ -652,10 +596,10 @@ class CutoffPool(RoleFacade):
 
     def __init__(self, n_actors: int, robots_path: str | None, round_ms: int,
                  default_delay_ms: int, max_per_host: int,
-                 error_backoff: bool = False, pool: StatePool | None = None):
+                 pool: StatePool | None = None):
         self._host(pool, n_actors, robots_path=robots_path,
                    round_ms=round_ms, default_delay_ms=default_delay_ms,
-                   max_per_host=max_per_host, error_backoff=error_backoff)
+                   max_per_host=max_per_host)
 
     def consume_fresh(self) -> bool:
         """True iff ANY shard (re)started since the last check — its
@@ -699,18 +643,12 @@ class CutoffPool(RoleFacade):
             out.update(d)
         return out
 
-    def collect_lineage(self, round_no: int):
-        """→ (summed per-shard lineage bincounts | None, rows covered)."""
-        import ray
-
-        total, n = None, 0
-        for arr, nr in ray.get(
-            [h.collect_lineage.remote(round_no) for h in self.handles]
-        ):
-            if arr is not None:
-                total = arr if total is None else total + arr
-            n += nr
-        return total, n
+    def collect_lineage(self, counts: list[np.ndarray]) -> np.ndarray:
+        """The round's lineage matrix: the sum of its tasks' matrices.
+        A driver-side fold with no shard call, kept under this name
+        because the benchmark's traced run times it as
+        ``state.politeness.collect_lineage``."""
+        return np.sum(counts, axis=0)
 
 
 def _leq_cutoff(p, d, t, h, c: tuple) -> np.ndarray:

@@ -95,9 +95,6 @@ _FORWARD = {
     "load": ("seen", "load"),
     "seen_count": ("seen", "items"),
     "offer": ("cutoff", "offer"),
-    "note_errors": ("cutoff", "note_errors"),
-    "report_lineage": ("cutoff", "report_lineage"),
-    "collect_lineage": ("cutoff", "collect_lineage"),
     "set_errors": ("cutoff", "set_errors"),
     "drop_round": ("cutoff", "drop_round"),
     "finalize_round": ("cutoff", "finalize_round"),

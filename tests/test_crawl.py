@@ -93,7 +93,7 @@ def snap_run(corpus_dir, ray_session):
     return cfg, totals
 
 
-def _golden(corpus_dir: str, cfg: CrawlConfig) -> dict:
+def _golden(corpus_dir: str, cfg: CrawlConfig, **kwargs) -> dict:
     g = GoldenCrawl(
         cfg.pages_path,
         load_robots(cfg.extra["robots_path"]),
@@ -105,6 +105,7 @@ def _golden(corpus_dir: str, cfg: CrawlConfig) -> dict:
         max_retries=cfg.max_retries,
         skip_rounds=cfg.skip_rounds,
         error_permille=ERR_PERMILLE,
+        **kwargs,
     )
     return g.run(pq.read_table(corpus_dir + "/seeds.parquet"), max_rounds=60)
 
@@ -438,6 +439,64 @@ class TestBackoffPlusAutoSalt:
         assert {u: t for u, t in zip(df["url"], df["text"])} == {
             u: p["text"] for u, p in gold["pages"].items()
         }
+
+
+def backoff_cfg(corpus_dir: str, tag: str) -> CrawlConfig:
+    cfg = make_cfg(corpus_dir, tag)
+    return CrawlConfig(**{**cfg.__dict__, "extra": {**cfg.extra, "error_backoff": True}})
+
+
+class TestBackoffShardRestart:
+    def test_cutoff_shard_kill_matches_golden_and_uninterrupted(self, corpus_dir,
+                                                                ray_session):
+        # a restarted cutoff shard has lost the error counts that shrink
+        # the next round's budgets: the driver must set them again from
+        # the committed round output, so the crawl still equals the
+        # golden backoff crawl and the uninterrupted run's lineage
+        import pyarrow.compute as pc
+        import ray
+
+        from ethereum_raw_data_crawler_ray.state.pool import host_owner
+
+        ref = backoff_cfg(corpus_dir, "backoff_ref")
+        shutil.rmtree(ref.out_dir, ignore_errors=True)
+        p = CrawlPipeline(ref)
+        p.run(max_rounds=60)
+        p.close()
+
+        cfg = backoff_cfg(corpus_dir, "backoff_kill")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        pipe.prepare()
+        # the kill follows round 2, whose fetch errors include a host of
+        # cutoff shard 0 (round 1's error hosts all live elsewhere)
+        t = pq.read_table(os.path.join(ref.out_dir, "rounds", "round_00002",
+                                       "row_kind=page"), columns=["host", "status"])
+        err_hosts = t.filter(pc.equal(t["status"], "error"))["host"].to_numpy()
+        assert (host_owner(err_hosts, len(pipe.cutoff_pool.handles)) == 0).any()
+        pipe.bootstrap(pq.read_table(corpus_dir + "/seeds.parquet"))
+        pipe._backfill_offers(0)
+        r = 0
+        while r < 60 and pipe._frontier_count(r) > 0:
+            stats = pipe.run_round(r)
+            if r == 2:
+                ray.kill(pipe.cutoff_pool.handles[0], no_restart=False)
+                _wait_restarted(pipe.cutoff_pool.handles[0])
+            r += 1
+            if stats["next_frontier"] == 0:
+                break
+        pipe._join_bg()
+        pipe.close()
+
+        h = health_output(cfg.out_dir).to_pandas()
+        assert ("cutoff", 0) in set(zip(h.loc[h["reconstructed"], "component"],
+                                        h.loc[h["reconstructed"], "shard_id"]))
+        gold = _golden(corpus_dir, cfg, error_backoff=True)
+        df = _rounds_df(cfg.out_dir)
+        assert {u: t for u, t in zip(df["url"], df["text"])} == {
+            u: pg["text"] for u, pg in gold["pages"].items()
+        }
+        _assert_same_crawl(ref.out_dir, cfg.out_dir)
 
 
 class TestActorFaultTolerance:
@@ -786,20 +845,61 @@ class TestRoundPartWriter:
 
 class TestLineageCounts:
     def test_driver_recount_equals_committed_lineage(self, crawl_run):
-        # round tasks report per-batch lineage_counts to the cutoff
-        # shards; the driver-side fallback recounts the committed round
-        # output with the same function — the two must agree every round
-        cfg, pipe, totals = crawl_run
+        # round tasks return per-batch lineage_counts and the driver sums
+        # them; recounting the committed round output with the same
+        # function must give the committed lineage every round
+        import pyarrow.dataset as pads
+
+        from ethereum_raw_data_crawler_ray.stages.roundstep import lineage_counts
+
+        cfg, _, totals = crawl_run
         lin = lineage_output(cfg.out_dir).to_pandas()
         cols = ["urls_scheduled", "urls_fetched", "urls_deferred",
                 "urls_failed", "errors"]
         assert sorted(lin["round"].unique()) == list(range(totals["rounds"]))
         for r, want in lin.groupby("round"):
-            got = pipe._lineage_bincounts(
-                os.path.join(cfg.out_dir, "rounds", f"round_{r:05d}"))
+            t = pads.dataset(os.path.join(cfg.out_dir, "rounds", f"round_{r:05d}"),
+                             format="parquet", partitioning="hive").to_table(
+                columns=["url_hash", "gate", "status", "row_kind"]).to_pandas()
+            got = lineage_counts(
+                t["url_hash"].to_numpy(dtype=np.uint64),
+                (t["row_kind"] == "page").to_numpy(dtype=bool),
+                t["gate"].to_numpy(dtype=object), t["status"].to_numpy(dtype=object),
+                cfg.n_seen_shards)
             want = want.sort_values("partition_id")[cols].to_numpy().T
             assert got.shape == (5, cfg.n_seen_shards)
             assert (got == want).all(), r
+
+
+class TestShortRoundGuard:
+    def test_short_round_raises_and_never_commits(self, corpus_dir, ray_session,
+                                                  monkeypatch):
+        # no path may drop rows without counting them: a round whose
+        # tasks read fewer rows than its frontier holds raises before
+        # its output or its lineage commits
+        cfg = make_cfg(corpus_dir, "short_round")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        pipe.prepare()
+        try:
+            pipe.bootstrap(pq.read_table(corpus_dir + "/seeds.parquet"))
+            pipe._backfill_offers(0)
+            r = 0
+            while len(pipe._round_items(r)) < 2:  # a round of several items
+                assert pipe.run_round(r)["next_frontier"] > 0
+                r += 1
+            round_items = pipe._round_items
+            monkeypatch.setattr(pipe, "_round_items", lambda rr: round_items(rr)[1:])
+            with pytest.raises(RuntimeError, match="frontier rows"):
+                pipe.run_round(r)
+            pipe._join_bg()
+            assert not os.path.exists(os.path.join(cfg.out_dir, "rounds", f"round_{r:05d}"))
+            assert not os.path.exists(
+                os.path.join(cfg.out_dir, "lineage", f"round_{r:05d}", "_COMPLETE"))
+            assert os.path.exists(
+                os.path.join(cfg.out_dir, "lineage", f"round_{r - 1:05d}", "_COMPLETE"))
+        finally:
+            pipe.close()
 
 
 class TestHealthOutput:
