@@ -66,6 +66,10 @@ from ..state.pool import StatePool, url_owner
 from ..state.seen import ActorSeenSet
 from ..state.store import ActorPageStore
 
+# a round runs one task per cluster CPU, but none of fewer rows than
+# this: below it a task's fixed cost outweighs the parallel gain
+MIN_TASK_ROWS = 256
+
 # finalized cutoffs up to this many go to the round tasks as ONE
 # broadcast dict (fewer RPCs — the single-node fast path); more stay
 # resident on their shards and each batch pulls its slice
@@ -195,8 +199,10 @@ class CrawlPipeline:
     #     hive-partitioned by row_kind so frontier reads touch only the
     #     thin carry/discovered files and counts are metadata-only; round
     #     0 reads the bootstrap dir) ---------------------------------------
-    def _frontier_source(self, r: int) -> list[str]:
-        """Parquet file paths holding round r's frontier rows."""
+    def _frontier_source(self, r: int) -> list[tuple[str, str]]:
+        """``(source dir, parquet file)`` for each file holding round r's
+        frontier rows. A source is one row kind of round r-1's output
+        (the bootstrap dir for round 0) or round r's watch-mode ingest."""
         import glob as _glob
 
         if r == 0:
@@ -213,19 +219,18 @@ class CrawlPipeline:
         ing = self._p("ingest", f"round_{r:05d}")
         if os.path.exists(ing):
             dirs.append(ing)
-        files: list[str] = []
-        for d in dirs:
-            files.extend(sorted(_glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)))
-        return files
+        return [(d, f) for d in dirs
+                for f in sorted(_glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True))]
 
     def _frontier_plan(self, r: int) -> list:
-        """[(file, n_rows)] for round r's frontier — footer metadata only,
-        read in a thread pool and cached per round."""
+        """[(source, file, n_rows)] for round r's frontier — footer
+        metadata only, read in a thread pool and cached per round."""
         plan = self._fplan_cache.get(r)
         if plan is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            files = self._frontier_source(r)
+            src = self._frontier_source(r)
+            files = [f for _, f in src]
             if len(files) > 4:
                 with ThreadPoolExecutor(max_workers=16) as ex:
                     rows = list(
@@ -233,63 +238,60 @@ class CrawlPipeline:
                     )
             else:
                 rows = [pq.ParquetFile(f).metadata.num_rows for f in files]
-            plan = self._fplan_cache[r] = list(zip(files, rows))
+            plan = self._fplan_cache[r] = [(d, f, n) for (d, f), n in zip(src, rows)]
         return plan
 
     def _frontier_count(self, r: int) -> int:
-        return sum(n for _, n in self._frontier_plan(r))
+        return sum(n for *_, n in self._frontier_plan(r))
 
     def _round_items(self, r: int) -> list[dict]:
-        """Round r's frontier as ~4 waves of equal task items: file
-        sizes follow the producing tasks' skew, so balance comes from
-        packing spans to equal row counts, not from moving rows."""
+        """Round r's frontier as one wave of task items: one per cluster
+        CPU, fewer when the round has under :data:`MIN_TASK_ROWS` rows a
+        CPU, each running one round_step call per ≤
+        ``extract_batch_size`` rows. A call's fixed cost is its three
+        state-actor round trips, so a round makes as few calls as its
+        cores and the batch bound allow."""
         ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n = self._frontier_count(r)
-        batch = max(256, min(self.cfg.extract_batch_size, -(-n // (4 * ncpu))))
-        return self._balanced_items(self._frontier_plan(r), batch, 4 * ncpu)
+        n_tasks = max(1, min(ncpu, self._frontier_count(r) // MIN_TASK_ROWS))
+        return self._balanced_items(self._frontier_plan(r), n_tasks,
+                                    self.cfg.extract_batch_size)
 
     @staticmethod
-    def _balanced_items(plan: list, batch: int, max_tasks: int) -> list[dict]:
-        """Pack frontier file spans into ``batch``-row processing groups,
-        then those groups into ≤ ``max_tasks`` task items numbered by
-        ``task``: tasks balance by the assignment, not by moving rows,
-        and the item count stays O(cluster cores) however large the
-        frontier (a task handles one batch group at a time)."""
-        groups: list[tuple[list, list, list]] = []
-        cur_p: list = []
-        cur_o: list = []
-        cur_l: list = []
-        cur_rows = 0
-        for f, n in plan:
-            off = 0
-            while off < n:
-                take = min(n - off, batch - cur_rows)
-                cur_p.append(f)
-                cur_o.append(off)
-                cur_l.append(take)
-                cur_rows += take
-                off += take
-                if cur_rows >= batch:
-                    groups.append((cur_p, cur_o, cur_l))
-                    cur_p, cur_o, cur_l, cur_rows = [], [], [], 0
-        if cur_rows:
-            groups.append((cur_p, cur_o, cur_l))
-        if not groups:
-            return []
-        # round-robin batch groups across tasks: consecutive groups read
-        # consecutive file regions, so striding also spreads any residual
-        # per-file skew across tasks
-        n_tasks = max(1, min(len(groups), max_tasks))
-        return [
-            {
-                "task": t,
-                "paths": [p for g in mine for p in g[0]],
-                "offsets": [o for g in mine for o in g[1]],
-                "lengths": [ln for g in mine for ln in g[2]],
-                "batch_id": [bi for bi, g in enumerate(mine) for _ in g[0]],
-            }
-            for t, mine in enumerate(groups[t::n_tasks] for t in range(n_tasks))
-        ]
+    def _balanced_items(plan: list, n_tasks: int, batch: int) -> list[dict]:
+        """Pack a frontier plan ``[(source, file, n_rows)]`` into at most
+        ``n_tasks`` task items numbered by ``task``. Each source's rows,
+        its files in plan order, are cut into ``n_tasks`` equal
+        contiguous shares, and task t takes share t of every source: the
+        tasks balance by row count, each gets the same mix of carry and
+        discovered rows, and no file (so no row group) is read by two
+        spans of one task. A task reads its spans in order and cuts them
+        into ``calls`` of near-equal rows, ≤ ``batch`` each, one
+        round_step call apiece."""
+        items = [{"task": t, "paths": [], "offsets": [], "lengths": []}
+                 for t in range(n_tasks)]
+        sources: dict[str, list] = {}
+        for src, f, n in plan:
+            sources.setdefault(src, []).append((f, n))
+        for files in sources.values():
+            rows = sum(n for _, n in files)
+            # share t is the source's rows [cut[t], cut[t + 1])
+            cut = [t * rows // n_tasks for t in range(n_tasks + 1)]
+            pos, t = 0, 0
+            for f, n in files:
+                end = pos + n
+                while pos < end:
+                    while cut[t + 1] <= pos:
+                        t += 1
+                    take = min(end, cut[t + 1]) - pos
+                    items[t]["paths"].append(f)
+                    items[t]["offsets"].append(n - (end - pos))
+                    items[t]["lengths"].append(take)
+                    pos += take
+        for it in items:
+            rows = sum(it["lengths"])
+            k = -(-rows // batch)
+            it["calls"] = [rows * (c + 1) // k - rows * c // k for c in range(k)]
+        return [it for it in items if it["calls"]]
 
     # --- automatic host-skew salting state (SURVEY.md §4) ----------------
     # hot maps host → per-host salt count for one specific round; decided
@@ -636,11 +638,17 @@ class CrawlPipeline:
         (stages/roundstep.py); the round commits by one rename, and only
         if the tasks read every frontier row. → stats: ``t_main`` times
         submit → commit; ``stage_s`` sums the ``tasks`` tasks' stage
-        seconds; ``rows`` counts the frontier rows read."""
+        seconds, ``calls`` counts their round_step calls and ``rows``
+        the frontier rows they read. A round with no frontier rows raises
+        ``ValueError`` before it touches any state."""
         cfg = self.cfg
         t0 = time.perf_counter()
         rounds_dir = self._p("rounds", f"round_{r:05d}")
         n_frontier = self._frontier_count(r)
+        if not n_frontier:
+            # before any side effect: finalize would consume the round's
+            # offers, and an empty committed round breaks the lineage
+            raise ValueError(f"round {r} has no frontier rows")
 
         if self.cutoff_pool.consume_fresh():
             # a cutoff shard restarted: its buffered offers for this
@@ -733,6 +741,7 @@ class CrawlPipeline:
             "t_main": round(t_main, 2),
             "t_ckpt": round(t_ckpt, 2),
             "tasks": len(items),
+            "calls": sum(len(it["calls"]) for it in items),
             "rows": sum(x["rows"] for x in res),
             "stage_s": {k: sum(x["stage_s"][k] for x in res) for k in STAGES},
         }
@@ -786,24 +795,23 @@ class CrawlPipeline:
         (items / slots) and the analytic false-positive bound
         ``8·load/2^16`` (2 buckets × 4 slots of 16-bit fingerprints);
         store and cutoff rows read 0 there. Written BEFORE the lineage
-        _COMPLETE marker, so every complete round has health rows."""
-        comps = [
-            ("seen", self.seen.health()),
-            ("store", self.store.health()),
-            ("cutoff", self.cutoff_pool.health()),
-        ]
+        _COMPLETE marker, so every complete round has health rows. One
+        ``health`` call per pool actor returns all of its rows."""
+        hs = ray.get([h.health.remote() for h in self.pool.handles])
         comp_col, shard_col, rec_col, items_col = [], [], [], []
         cpu_col, rss_col, load_col = [], [], []
         seen_slots = slots_for(self.cfg.seen_shard_capacity)
-        for name, rows in comps:
-            for j, h in enumerate(rows):
+        for name, facade in (("seen", self.seen), ("store", self.store),
+                             ("cutoff", self.cutoff_pool)):
+            for j, h in enumerate(hs[:facade.n_shards]):
+                items = h["items"][name]
                 comp_col.append(name)
                 shard_col.append(j)
                 rec_col.append(bool(h["reconstructed"]))
-                items_col.append(int(h["items"]))
-                cpu_col.append(float(h.get("cpu_s", 0.0)))
-                rss_col.append(int(h.get("rss_kb", 0)))
-                load_col.append(h["items"] / seen_slots if name == "seen" else 0.0)
+                items_col.append(items)
+                cpu_col.append(h["cpu_s"])
+                rss_col.append(h["rss_kb"])
+                load_col.append(items / seen_slots if name == "seen" else 0.0)
         load = np.asarray(load_col, dtype=np.float64)
         t = pa.table(
             {

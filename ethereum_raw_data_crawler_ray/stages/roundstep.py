@@ -1,7 +1,9 @@
 """The fused round step — one Ray task per frontier item does the round.
 
-Every crawl round fans :func:`round_task` out over its frontier items;
-for each frontier batch the task
+Every crawl round fans :func:`round_task` out over its frontier items,
+one wave of at most one item per cluster CPU; an item's rows go
+through round_step in calls of ≤ ``extract_batch_size`` rows, and for
+each call's frontier batch the task
   1. gates (robots / skip-window / politeness cutoff — cutoffs were
      collected from the offers streamed during the PREVIOUS round's
      execution, so no shuffle and no extra barrier is needed);
@@ -37,7 +39,6 @@ logical shard ids exactly as if each shard had its own process.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 
@@ -128,10 +129,10 @@ def lineage_counts(url_hash, is_page, gate, status, n_shards: int) -> np.ndarray
 
 def round_task(item: dict, *, round_no: int, out_dir: str, **kwargs) -> dict:
     """Read, round_step and write one pre-balanced item (frontier file
-    spans in batch groups), one group at a time, so task memory stays
-    one group wide. → summed over the groups: the frontier ``rows``
-    read, the seconds of each of :data:`STAGES` and the ``lineage``
-    matrix; concatenated: the fetch-error hosts and their classes."""
+    spans cut into ``calls``), one call at a time, so task memory stays
+    one call wide. → summed over the calls: the frontier ``rows`` read,
+    the seconds of each of :data:`STAGES` and the ``lineage`` matrix;
+    concatenated: the fetch-error hosts and their classes."""
     res = {"rows": 0, "stage_s": dict.fromkeys(STAGES, 0.0), "lineage": 0,
            "error_hosts": [], "error_classes": []}
 
@@ -185,17 +186,31 @@ def fan_out(fn, items: list[dict], **kwargs) -> list:
 
 
 def _item_frames(item: dict):
-    """Each of an item's batch groups (runs of equal ``batch_id``) read
-    into one frontier DataFrame."""
-    spans = zip(item["batch_id"], item["paths"], item["offsets"], item["lengths"])
-    for _, group in itertools.groupby(spans, key=lambda s: s[0]):
-        yield pa.concat_tables([_read_span(pq, *s[1:]) for s in group]).to_pandas()
+    """An item's spans, read in order one row group at a time, cut into
+    its ``calls`` → one frontier DataFrame per call. A row group that a
+    call boundary splits is decoded once and sliced; a short read ends
+    in a short last frame, which the driver's row check reports."""
+    sizes = iter(item["calls"])
+    want = next(sizes, 0)
+    buf: list = []
+    have = 0
+    for span in zip(item["paths"], item["offsets"], item["lengths"]):
+        for t in _read_span(*span):
+            buf.append(t)
+            have += len(t)
+            while want and have >= want:
+                rows = pa.concat_tables(buf)
+                yield rows.slice(0, want).to_pandas()
+                buf, have = [rows.slice(want)], have - want
+                want = next(sizes, 0)
+    if have:
+        yield pa.concat_tables(buf).to_pandas()
 
 
 def write_round_part(parts, out_dir: str, task_idx: int) -> None:
-    """Write a task's ``{row_kind: table}`` per batch group as hive
+    """Write a task's ``{row_kind: table}`` per call as hive
     ``out_dir/row_kind=<kind>/part-<task_idx>.parquet``, one row group
-    per group. A kind with no rows gets no file; a retried task
+    per call. A kind with no rows gets no file; a retried task
     overwrites its own files; a schema unlike the kind's first raises."""
     writers: dict[str, pq.ParquetWriter] = {}
     try:
@@ -214,32 +229,24 @@ def write_round_part(parts, out_dir: str, task_idx: int) -> None:
             w.close()
 
 
-def _read_span(_pq, path: str, offset: int, length: int) -> pa.Table:
-    """Read rows [offset, offset+length) of a frontier file, decoding
-    ONLY the row groups that overlap the span.  A frontier file larger
-    than the batch size is striped across tasks as multiple spans;
-    decoding the whole file per span amplified reads by up to ~4×ncpu
-    when the frontier sat in one large file (r03 ADVICE).  Row-group
-    boundaries come from the footer (already driver-cached for span
-    packing, re-read here — footer reads are cheap vs column decode)."""
-    pf = _pq.ParquetFile(path)
+def _read_span(path: str, offset: int, length: int):
+    """Yield rows [offset, offset+length) of a frontier file one row
+    group at a time, decoding only the row groups the span overlaps.
+    Row-group boundaries come from the footer (already driver-cached for
+    span packing, re-read here — footer reads are cheap vs column
+    decode)."""
+    pf = pq.ParquetFile(path)
     md = pf.metadata
-    if md.num_row_groups <= 1:
-        t = pf.read(columns=_FRONTIER_COLS)
-        return t if (offset == 0 and length == len(t)) else t.slice(offset, length)
-    end = offset + length
-    rgs, rg_start, start = [], 0, 0
+    start, end = 0, offset + length
     for g in range(md.num_row_groups):
         n = md.row_group(g).num_rows
-        if start < end and start + n > offset:
-            if not rgs:
-                rg_start = start
-            rgs.append(g)
+        if start + n > offset:
+            lo = max(offset, start)
+            hi = min(end, start + n)
+            yield pf.read_row_group(g, columns=_FRONTIER_COLS).slice(lo - start, hi - lo)
         start += n
         if start >= end:
             break
-    t = pf.read_row_groups(rgs, columns=_FRONTIER_COLS)
-    return t.slice(offset - rg_start, length)
 
 
 def _null_fill_to(t: pa.Table, schema: pa.Schema) -> pa.Table:

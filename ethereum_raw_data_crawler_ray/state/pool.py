@@ -33,8 +33,9 @@ each taking seconds. On crawl-polite's config in a 2-CPU session
 4 shared processes in 4.2 s, with 567 MB less actor memory.
 
 The actor forwards each role method under the role method's own name.
-Two names are defined by more than one role; on the actor they are
-``health(role)`` and ``store_count`` / ``seen_count``.
+Every role defines ``items``: the actor's one ``health()`` reports it
+for each role it hosts, and ``store_count`` / ``seen_count`` forward
+the store's ``count`` and the seen shard's ``items``.
 
 A restart restarts every role in the process, and each recovers on its
 own: the store re-reads the immutable fetch index, the seen shard
@@ -125,20 +126,18 @@ class StateShard:
             if shard_id < n
         }
 
-    def health(self, role: str | None = None) -> dict:
+    def health(self) -> dict:
         """SystemHealth analog (crawler_metrics.go:46-68): has this
         process been restarted, its CPU seconds and resident memory —
-        shared by every role it hosts — and, for ``role``, that role's
-        state size under ``items``."""
+        shared by every role it hosts — and, under ``items``, each
+        hosted role's state size."""
         from .resources import actor_restarted, proc_rss_kb
 
         tm = os.times()
-        out = {"reconstructed": actor_restarted(),
-               "cpu_s": float(tm.user + tm.system),
-               "rss_kb": proc_rss_kb(), "pid": os.getpid()}
-        if role is not None:
-            out["items"] = int(self.roles[role].items())
-        return out
+        return {"reconstructed": actor_restarted(),
+                "cpu_s": float(tm.user + tm.system),
+                "rss_kb": proc_rss_kb(), "pid": os.getpid(),
+                "items": {name: int(r.items()) for name, r in self.roles.items()}}
 
 
 def _forwarder(name: str, role: str, method: str):
@@ -205,11 +204,6 @@ class RoleFacade:
     @property
     def handles(self) -> list:
         return self.pool.handles[:self.n_shards]
-
-    def health(self) -> list[dict]:
-        """Per shard: the hosting process's health, with this role's
-        state size under ``items``."""
-        return ray.get([h.health.remote(self.role) for h in self.handles])
 
     def kill(self) -> None:
         self.pool.kill()

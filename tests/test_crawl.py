@@ -688,71 +688,120 @@ class TestOneCpuSession:
         assert eng == {u: p["text"] for u, p in golden_run["pages"].items()}
 
 
+def _frontier_rows(n: int, start: int = 0) -> pa.Table:
+    """``n`` frontier rows whose ``url_hash`` counts up from ``start``."""
+    from ethereum_raw_data_crawler_ray.schema import FRONTIER
+
+    i = np.arange(start, start + n)
+    return pa.table(
+        {
+            "url": [f"http://h{k % 7}.test/p{k}" for k in i],
+            "url_hash": i.astype(np.uint64),
+            "host": [f"h{k % 7}.test" for k in i],
+            "priority": np.zeros(n, dtype=np.int32),
+            "depth": np.zeros(n, dtype=np.int32),
+            "warc_ts": pd.to_datetime(i, unit="s").values,
+            "attempts": np.zeros(n, dtype=np.int32),
+            "skip_until_round": np.zeros(n, dtype=np.int32),
+        },
+        schema=FRONTIER,
+    )
+
+
 class TestBalancedItems:
     def test_packing_complete_disjoint_capped(self):
-        # the shuffle-free replacement for repartition(ntasks): spans
-        # must cover every frontier row exactly once, batch groups must
-        # respect the batch bound, and item count must stay O(max_tasks)
-        # however large the frontier (a 10^10-URL round must not build
-        # one driver item per batch)
-        plan = [("a", 100), ("b", 5), ("c", 2048), ("d", 0), ("e", 999)]
-        items = CrawlPipeline._balanced_items(plan, 512, 4)
-        assert len(items) <= 4
-        assert sum(sum(i["lengths"]) for i in items) == 3152
-        for it in items:
-            per_batch: dict = {}
-            for ln, bi in zip(it["lengths"], it["batch_id"]):
-                per_batch[bi] = per_batch.get(bi, 0) + ln
-            assert all(v <= 512 for v in per_batch.values())
-        cov: dict = {}
-        for it in items:
-            for p, o, ln in zip(it["paths"], it["offsets"], it["lengths"]):
-                cov.setdefault(p, []).append((o, ln))
-        for f, n in plan:
-            if n == 0:
-                assert f not in cov
-                continue
-            pos = 0
-            for o, ln in sorted(cov[f]):
-                assert o == pos
-                pos += ln
-            assert pos == n
+        # the shuffle-free replacement for repartition(ntasks): at most
+        # max_tasks items covering every frontier row exactly once, each
+        # round_step call within the row bound, both row kinds in every
+        # item, and no file (so no row group) read by two spans of one
+        # item; the item count stays O(max_tasks) however large the
+        # frontier (a 10^10-URL round must not build one item per batch)
+        plan = [("carry", "a", 100), ("carry", "b", 5), ("carry", "c", 2048),
+                ("discovered", "d", 0), ("discovered", "e", 999),
+                ("discovered", "f", 3001)]
+        kind = {f: src for src, f, _ in plan}
+        for max_tasks, bound in [(1, 2048), (2, 2048), (3, 512), (4, 2048), (8, 300)]:
+            items = CrawlPipeline._balanced_items(plan, max_tasks, bound)
+            assert len(items) == max_tasks
+            assert sorted(it["task"] for it in items) == list(range(max_tasks))
+            rows = [sum(it["lengths"]) for it in items]
+            assert sum(rows) == 6153
+            assert max(rows) - min(rows) <= 2  # one row a source
+            for it in items:
+                assert sum(it["calls"]) == sum(it["lengths"])
+                assert all(0 < c <= bound for c in it["calls"])
+                assert len(it["calls"]) == -(-sum(it["lengths"]) // bound)
+                assert len(set(it["paths"])) == len(it["paths"])
+                assert {kind[p] for p in it["paths"]} == {"carry", "discovered"}
+            cov: dict = {}
+            for it in items:
+                for p, o, ln in zip(it["paths"], it["offsets"], it["lengths"]):
+                    assert ln > 0
+                    cov.setdefault(p, []).append((o, ln))
+            for _, f, n in plan:
+                if n == 0:
+                    assert f not in cov
+                    continue
+                pos = 0
+                for o, ln in sorted(cov[f]):
+                    assert o == pos
+                    pos += ln
+                assert pos == n
         # item count capped at max_tasks regardless of frontier size
-        many = CrawlPipeline._balanced_items([("x", 100_000)], 512, 8)
+        many = CrawlPipeline._balanced_items([("carry", "x", 100_000)], 8, 2048)
         assert len(many) == 8
         assert sum(sum(i["lengths"]) for i in many) == 100_000
+        assert all(len(i["calls"]) == 7 for i in many)
+        assert CrawlPipeline._balanced_items([("carry", "x", 0)], 4, 2048) == []
 
     def test_read_span_row_group_selective(self, tmp_path):
         # _read_span must decode only the row groups covering the span
         # yet return exactly the same rows as a full-read slice (r03
         # ADVICE: whole-file decode per span amplified reads ~4×ncpu)
-        from ethereum_raw_data_crawler_ray.schema import FRONTIER
         from ethereum_raw_data_crawler_ray.stages.roundstep import (
             _FRONTIER_COLS,
             _read_span,
         )
 
         n = 1000
-        tbl = pa.table(
-            {
-                "url": [f"http://h{i % 7}.test/p{i}" for i in range(n)],
-                "url_hash": np.arange(n, dtype=np.uint64),
-                "host": [f"h{i % 7}.test" for i in range(n)],
-                "priority": np.zeros(n, dtype=np.int32),
-                "depth": np.zeros(n, dtype=np.int32),
-                "warc_ts": pd.to_datetime(np.arange(n), unit="s").values,
-                "attempts": np.zeros(n, dtype=np.int32),
-                "skip_until_round": np.zeros(n, dtype=np.int32),
-            },
-            schema=FRONTIER,
-        )
         p = str(tmp_path / "frontier.parquet")
-        pq.write_table(tbl, p, row_group_size=128)  # 8 row groups
+        pq.write_table(_frontier_rows(n), p, row_group_size=128)  # 8 row groups
         full = pq.read_table(p, columns=_FRONTIER_COLS)
         for off, ln in [(0, n), (0, 128), (100, 200), (127, 2), (128, 128),
                         (500, 500), (999, 1), (130, 1)]:
-            got = _read_span(pq, p, off, ln)
-            assert got.equals(full.slice(off, ln)), (off, ln)
+            parts = list(_read_span(p, off, ln))
+            # one table per row group the span overlaps
+            assert len(parts) == (off + ln - 1) // 128 - off // 128 + 1, (off, ln)
+            assert pa.concat_tables(parts).equals(full.slice(off, ln)), (off, ln)
+
+    def test_item_frames_decode_each_row_group_once(self, tmp_path, monkeypatch):
+        # an item's calls cut across spans and row groups: each frame
+        # holds its call's rows in span order, and every row group the
+        # item reads is decoded once, however many calls it feeds
+        from ethereum_raw_data_crawler_ray.stages import roundstep
+
+        paths = []
+        for k, n in enumerate((1000, 900)):  # told apart by their row counts
+            p = str(tmp_path / f"part-{k}.parquet")
+            pq.write_table(_frontier_rows(n, start=1000 * k), p, row_group_size=300)
+            paths.append(p)
+        decoded = []
+        read_row_group = pq.ParquetFile.read_row_group
+
+        def counted(self, i, *args, **kwargs):
+            decoded.append((self.metadata.num_rows, i))
+            return read_row_group(self, i, *args, **kwargs)
+
+        monkeypatch.setattr(pq.ParquetFile, "read_row_group", counted)
+        item = {"task": 0, "paths": paths, "offsets": [150, 0],
+                "lengths": [850, 700], "calls": [517, 517, 516]}
+        frames = list(roundstep._item_frames(item))
+        assert [len(f) for f in frames] == item["calls"]
+        got = np.concatenate([f["url_hash"].to_numpy() for f in frames])
+        want = np.r_[np.arange(150, 1000), np.arange(1000, 1700)].astype(np.uint64)
+        assert (got == want).all()
+        # file 0: row groups 0..3 (150 starts in group 0); file 1: 0..2
+        assert len(decoded) == len(set(decoded)) == 4 + 3
 
 
 class TestRoundStats:
@@ -900,6 +949,75 @@ class TestShortRoundGuard:
                 os.path.join(cfg.out_dir, "lineage", f"round_{r - 1:05d}", "_COMPLETE"))
         finally:
             pipe.close()
+
+
+class TestEmptyRound:
+    def test_round_without_frontier_raises_before_any_side_effect(self, ray_session):
+        # this corpus runs out of frontier: running the round after the
+        # last one raises at once, commits no round, leaves no failed
+        # background write behind, and the crawl still resumes
+        from ethereum_raw_data_crawler_ray.testdata import ensure_corpus
+
+        corpus = ensure_corpus(300, n_hosts=10, n_seeds=10, seed=3,
+                               base_dir="/tmp/test_corpus")
+        cfg = CrawlConfig(**{**make_cfg(corpus, "empty_round").__dict__,
+                             "index_dir": "/tmp/crawl_test_idx_n300_s3"})
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        try:
+            totals = pipe.run(max_rounds=60)
+            r = totals["last_round"] + 1
+            assert totals["rounds"] == r and pipe._frontier_count(r) == 0
+            with pytest.raises(ValueError, match="no frontier rows"):
+                pipe.run_round(r)
+            pipe._join_bg()
+            assert not os.path.exists(os.path.join(cfg.out_dir, "rounds", f"round_{r:05d}"))
+            assert pipe.last_complete_round() == r - 1
+        finally:
+            pipe.close()
+        pipe = CrawlPipeline(cfg)
+        try:
+            again = pipe.run(max_rounds=60)
+        finally:
+            pipe.close()
+        assert again["rounds"] == 0 and again["last_round"] == r - 1
+
+
+class TestOneWave:
+    def test_round_items_one_per_cpu(self, corpus_dir, ray_session):
+        # one wave: a round of more than ncpu × MIN_TASK_ROWS rows runs
+        # exactly ncpu items, a smaller one fewer, each with one call a
+        # batch bound of rows
+        import ray
+
+        ncpu = int(ray.cluster_resources()["CPU"])
+        assert ncpu >= 2
+        pipe = CrawlPipeline(make_cfg(corpus_dir, "one_wave"))
+        big = ncpu * crawl_mod.MIN_TASK_ROWS + 1
+        pipe._fplan_cache[3] = [("carry", "a", 300), ("discovered", "b", big - 300)]
+        items = pipe._round_items(3)
+        assert len(items) == ncpu
+        assert all(len(it["calls"]) == 1 for it in items)
+        pipe._fplan_cache[4] = [("carry", "a", 2 * crawl_mod.MIN_TASK_ROWS + 1)]
+        assert len(pipe._round_items(4)) == 2
+        pipe._fplan_cache[5] = [("carry", "a", 5 * 2048 * ncpu)]
+        assert [len(it["calls"]) for it in pipe._round_items(5)] == [5] * ncpu
+
+    def test_two_items_run_at_once(self, tmp_path, ray_session):
+        # each item marks that it started, then waits for the other's
+        # mark: both return True only if the two tasks overlap in time
+        from ethereum_raw_data_crawler_ray.stages.roundstep import fan_out
+
+        def meet(item, *, d):
+            open(os.path.join(d, str(item["task"])), "w").close()
+            deadline = time.time() + 120
+            while time.time() < deadline:
+                if len(os.listdir(d)) == 2:
+                    return True
+                time.sleep(0.01)
+            return False
+
+        assert fan_out(meet, [{"task": 0}, {"task": 1}], d=str(tmp_path)) == [True, True]
 
 
 class TestHealthOutput:
