@@ -298,3 +298,130 @@ class TestMinhashCandidatePaths:
         c = pairs(driver_merge_rows=0, max_keys_broadcast=0)  # semi-join keys
         assert a == b == c
         assert len(a) >= 12  # the planted near-dup pairs are all there
+
+
+def _reference_bucket_pairs(df: pd.DataFrame, max_bucket: int) -> pd.DataFrame:
+    """The per-band-key pandas function :func:`dedup._bucket_pairs`
+    replaced, run over every key of ``df`` in input order."""
+    out = [pd.DataFrame({"id_a": pd.Series(dtype=np.int64),
+                         "id_b": pd.Series(dtype=np.int64),
+                         "est_sim": pd.Series(dtype=np.float64)})]
+    for _, g in df.groupby("band_key", sort=False):
+        g = g.drop_duplicates(subset=["doc_id"]).sort_values("doc_id")
+        n = len(g)
+        if n > max_bucket or n < 2:
+            continue
+        ids = g["doc_id"].to_numpy()
+        mat = np.stack([np.frombuffer(s, dtype=np.uint64) for s in g["sig"]])
+        ii, jj = np.triu_indices(n, k=1)
+        est = (mat[ii] == mat[jj]).mean(axis=1)
+        out.append(pd.DataFrame({"id_a": ids[ii], "id_b": ids[jj], "est_sim": est}))
+    return pd.concat(out, ignore_index=True)
+
+
+def _canon_pairs(df: pd.DataFrame) -> np.ndarray:
+    """(id_a, id_b, est_sim bits) rows, sorted: a bit-exact multiset."""
+    m = np.stack([df["id_a"].to_numpy(np.int64), df["id_b"].to_numpy(np.int64),
+                  df["est_sim"].to_numpy(np.float64).view(np.int64)], axis=1)
+    return m[np.lexsort(m.T[::-1])]
+
+
+class TestBucketPairsKernel:
+    """The vectorized MinHash-LSH exchange kernel emits the same
+    (id_a, id_b, est_sim) multiset, bit for bit, as the per-key pandas
+    function it replaced. No Ray session."""
+
+    N_PERM = 8
+
+    def _table(self, keys, ids, seed: int = 3) -> pd.DataFrame:
+        # one signature per id; slot values from a tiny alphabet so the
+        # estimated similarities spread over (0, 1]
+        rng = np.random.default_rng(seed)
+        ids = np.asarray(ids, dtype=np.int64)
+        sigs = {int(i): rng.integers(0, 3, self.N_PERM).astype(np.uint64).tobytes()
+                for i in np.unique(ids)}
+        return pd.DataFrame({"doc_id": ids,
+                             "band_key": np.asarray(keys, dtype=np.int64),
+                             "sig": [sigs[int(i)] for i in ids]})
+
+    def _check(self, df: pd.DataFrame, max_bucket: int, table: pa.Table = None):
+        t = table if table is not None else pa.Table.from_pandas(df, preserve_index=False)
+        got = dedup._bucket_pairs(t, id_col="doc_id", n_perm=self.N_PERM,
+                                  max_bucket=max_bucket)
+        assert got.schema == dedup._CAND_SCHEMA
+        ref = _reference_bucket_pairs(df, max_bucket)
+        assert np.array_equal(_canon_pairs(got.to_pandas()), _canon_pairs(ref))
+        return got
+
+    def test_seeded_random_tables(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(50, 3_000))
+            # ids repeat inside a key (repeated (key, id) rows) and most
+            # keys are singletons
+            df = self._table(rng.integers(0, n // 2, n), rng.integers(0, n // 3, n), seed)
+            assert len(self._check(df, max_bucket=6)) > 0
+
+    def test_singletons_and_max_bucket_edges(self):
+        mb = 5
+        keys = [7] * mb + [8] * (mb + 1) + [9, 10, 11]  # exact cap, cap + 1, singletons
+        ids = list(range(mb)) + list(range(100, 100 + mb + 1)) + [1, 2, 3]
+        got = self._check(self._table(keys, ids), max_bucket=mb)
+        assert len(got) == mb * (mb - 1) // 2  # only the key at the cap
+        # 8 rows but 5 distinct ids (the cap) emit; repeats of one id
+        # alone emit nothing
+        got = self._check(self._table([1] * 8 + [2, 2], [4, 5, 4, 6, 5, 7, 8, 4, 9, 9]),
+                          max_bucket=mb)
+        assert len(got) == 10
+
+    def test_empty_table(self):
+        df = self._table([], [])
+        t = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "band_key": pa.array([], pa.int64()),
+                      "sig": pa.array([], pa.binary())})
+        assert len(self._check(df, max_bucket=4, table=t)) == 0
+
+    def test_sliced_and_chunked_signatures(self):
+        rng = np.random.default_rng(11)
+        df = self._table(rng.integers(0, 40, 400), rng.integers(0, 150, 400))
+        t = pa.Table.from_pandas(df, preserve_index=False)
+        # a slice: every column starts at an offset into its buffers
+        sliced = pa.Table.from_pandas(pd.concat([df.iloc[:3], df]),
+                                      preserve_index=False).slice(3)
+        assert sliced["sig"].num_chunks == 1 and sliced["sig"].chunks[0].offset == 3
+        self._check(df, max_bucket=8, table=sliced)
+        # several chunks, the middle one sliced
+        parts = pa.concat_tables([t.slice(0, 97), t.slice(97, 150), t.slice(247)])
+        assert parts["sig"].num_chunks == 3
+        self._check(df, max_bucket=8, table=parts)
+
+    def test_compare_chunks(self, monkeypatch):
+        # one bucket of 120 ids holds 7,140 pairs: more than a compare
+        # chunk of 1,000, so the chunk loop runs 8 steps with a ragged tail
+        monkeypatch.setattr(dedup, "_PAIR_CHUNK", 1_000)
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(120)
+        df = self._table(np.r_[np.full(120, 3), rng.integers(10, 30, 60)],
+                         np.r_[ids, rng.integers(0, 120, 60)])
+        assert len(self._check(df, max_bucket=120)) > 1_000
+
+    def test_bad_signature_width_raises(self):
+        df = self._table([1, 1], [1, 2])
+        df.loc[1, "sig"] = df.loc[1, "sig"][:-8]
+        with pytest.raises(pa.ArrowInvalid):
+            dedup._bucket_pairs(pa.Table.from_pandas(df, preserve_index=False),
+                                id_col="doc_id", n_perm=self.N_PERM, max_bucket=4)
+
+
+class TestTypedEmptyPairs:
+    def test_empty_and_nonempty_schemas_equal(self, ray_session):
+        none = pd.DataFrame({"doc_id": [1, 2, 3],
+                             "text": ["aa bb cc dd", "ee ff gg hh", "ii jj kk ll"]})
+        some = _mk_docs(300, 4)
+        for fn in (dedup.minhash_candidates, dedup.simhash_pairs):
+            empty = fn(rd.from_pandas(none), "text", "doc_id")
+            full = fn(rd.from_pandas(some), "text", "doc_id")
+            assert empty.count() == 0 and full.count() > 0
+            a, b = empty.schema().base_schema, full.schema().base_schema
+            assert a.equals(b, check_metadata=True), (a, b)
+            assert not a.metadata  # no pandas schema metadata
