@@ -108,13 +108,16 @@ def _merge_avg_partials(parts: pd.DataFrame, key: str, n_col: str,
     """Merge per-batch (key, n, sum) combiner partials into exact
     totals (Python-int sums, partition-invariant) plus a mean that is
     ONE IEEE division — the shared driver tail of the exact-aggregate
-    queries (q111/q122/q123/q124)."""
+    queries (q111/q122/q123/q124).  A key with ``n == 0`` summed no
+    value, so its sum is NULL as SQL's SUM is, and the sum column is
+    then float64 with NaN, as the oracle's is."""
     rows = []
     for k, grp in parts.groupby(key, sort=True, dropna=False):
         n, s = int(grp[n_col].sum()), int(grp[sum_col].sum())
-        rows.append((k, n, s, float(s) / float(n) if n else np.nan))
-    return pd.DataFrame(rows, columns=[key, n_col, sum_col, avg_col]
-                        ).astype({n_col: np.int64, sum_col: np.int64})
+        rows.append((k, n, s if n else None, float(s) / float(n) if n else np.nan))
+    out = pd.DataFrame(rows, columns=[key, n_col, sum_col, avg_col])
+    return out.astype({n_col: np.int64, sum_col: np.int64
+                       if out[sum_col].notna().all() else np.float64})
 
 
 # ==========================================================================

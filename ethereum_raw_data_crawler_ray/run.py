@@ -37,9 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--error-permille", type=int, default=0)
     p.add_argument("--enrich", action="store_true",
                    help="in-flight page analytics (langid/quality/simhash/fingerprint/minhash)")
-    p.add_argument("--store-mode", choices=["preload", "lazy"], default="preload",
-                   help="preload: shards decode their pages once; lazy: hash->row-group "
-                        "index + LRU of decoded groups (the 100-TB memory shape)")
     p.add_argument("--watch-dir", default=None,
                    help="incremental ingest: page parquet files appearing here are "
                         "picked up at round boundaries (WS-push analog)")
@@ -80,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         "host_salt": args.host_salt,
         "error_permille": args.error_permille,
         "enrich": args.enrich,
-        "store_mode": args.store_mode,
     }
     if args.robots:
         extra["robots_path"] = args.robots

@@ -6,7 +6,8 @@ through round_step in calls of ≤ ``extract_batch_size`` rows, and for
 each call's frontier batch the task
   1. gates (robots / skip-window / politeness cutoff — cutoffs were
      collected from the offers streamed during the PREVIOUS round's
-     execution, so no shuffle and no extra barrier is needed);
+     execution, so no shuffle and no extra barrier is needed; each call
+     pulls its batch's slice from the owning cutoff shards);
   2. fetches gated rows from the page-store shards + extracts
      (+ optional enrichment);
   3. derives carry rows (defer / skip / error-retry frontier rows for
@@ -142,7 +143,7 @@ def round_task(item: dict, *, round_no: int, out_dir: str, **kwargs) -> dict:
             res["stage_s"]["read"] += time.perf_counter() - t0
             res["rows"] += len(df)
             parts, durs, lin, (eh, ec) = round_step(df, round_no=round_no, **kwargs)
-            for k, d in zip(STAGES[1:], durs):
+            for k, d in durs.items():
                 res["stage_s"][k] += d
             res["lineage"] = res["lineage"] + lin
             res["error_hosts"] += eh
@@ -261,7 +262,6 @@ def round_step(
     df: pd.DataFrame,
     *,
     round_no: int,
-    cutoffs_ref,
     robots_ref,
     store_handles: list,
     seen_handles: list,
@@ -276,12 +276,12 @@ def round_step(
     enrich: bool = False,
     hot_gate: dict | None = None,   # per-host salt map for THIS round's pkeys
     hot_offer: dict | None = None,  # per-host salt map for round r+1's offers
-    cutoff_pull: bool = False,  # pull transport: per-batch cutoff slices
-) -> tuple[dict[str, pa.Table], np.ndarray, np.ndarray, tuple[list, list]]:
+) -> tuple[dict[str, pa.Table], dict[str, float], np.ndarray, tuple[list, list]]:
     """One frontier batch through the round's stages → (its output rows
-    by row kind, the seconds of each of its :data:`STAGES`, its
+    by row kind, the seconds of each of its :data:`STAGES` by name, its
     :func:`lineage_counts` matrix, (its fetch-error hosts, their error
     classes))."""
+    from ..state.politeness import pull_cutoffs_for
     from ..state.seen import claim_scatter_finish, claim_scatter_submit
     from ..state.store import fetch_scatter
 
@@ -291,18 +291,12 @@ def round_step(
         _marks.append(time.perf_counter())
 
     robots = get_broadcast(robots_ref)
-    if cutoff_pull:
-        # shard-resident transport (r04 verdict #3): fetch only THIS
-        # batch's pkey slice from the owning cutoff shards — the full
-        # cutoff dict never exists in any one process
-        from ..state.politeness import pull_cutoffs_for
-
-        cutoffs = pull_cutoffs_for(
-            df, cutoff_handles, round_no=round_no, n_salt=n_salt,
-            hot=hot_gate,
-        )
-    else:
-        cutoffs = get_broadcast(cutoffs_ref)
+    # shard-resident cutoffs (r04 verdict #3): pull only THIS batch's
+    # pkey slice from the owning cutoff shards — the full cutoff dict
+    # never exists in any one process
+    cutoffs = pull_cutoffs_for(
+        df, cutoff_handles, round_no=round_no, n_salt=n_salt, hot=hot_gate,
+    )
 
     # 1. gate ---------------------------------------------------------------
     gate, _ = gate_full(
@@ -351,6 +345,8 @@ def round_step(
     #    trips are in flight, then claims are collected and
     #    the novel discovered rows are offered (offers are additive
     #    per-key top-k unions, so splitting them is semantics-free).
+    #    The carry offers' seconds count toward ``offers``, not
+    #    ``explode_seen``.
     #    A pool actor hosting both a seen and a cutoff shard queues the
     #    two calls, which costs microseconds on small tail rounds.
     #    Claims stay replay-safe via the per-round claim-token log
@@ -379,15 +375,17 @@ def round_step(
         cutoff_handles=cutoff_handles,
         hot=hot_offer,
     )
+    carry_offer_s = 0.0
     if len(carry):
+        t0 = time.perf_counter()
         offer_candidates(carry[_FRONTIER_COLS], **offer_kwargs)
+        carry_offer_s = time.perf_counter() - t0
     if pending is not None:
         novel = claim_scatter_finish(*pending)
         disc = disc.filter(pa.array(novel))
-    _mark()  # explode+seen
+    _mark()  # explode+seen, carry offers included
     if len(disc):
         offer_candidates(disc.to_pandas()[_FRONTIER_COLS], **offer_kwargs)
-
     _mark()  # offers
 
     # 5b. this batch's lineage counts and fetch-error hosts (the error
@@ -408,4 +406,7 @@ def round_step(
     if len(disc):
         parts[ROW_DISC] = _null_fill_to(disc, pages.schema)
     _mark()  # output-build
-    return parts, np.diff(_marks), lin, errors
+    durs = dict(zip(STAGES[1:], np.diff(_marks).tolist()))
+    durs["explode_seen"] -= carry_offer_s
+    durs["offers"] += carry_offer_s
+    return parts, durs, lin, errors

@@ -307,12 +307,11 @@ def pull_cutoffs_for(
     n_salt: int,
     hot: dict | None = None,
 ) -> dict:
-    """Pull-transport gating (r04 verdict #3): fetch ONLY this batch's
-    politeness-key cutoff slice from the owning cutoff shards (the same
-    hash-by-host routing as offers), instead of reading a broadcast of
-    the full O(active hosts) dict.  One RPC per shard that owns a host
-    present in the batch; payload bounded by the batch's distinct
-    pkeys."""
+    """The cutoffs a round_step call gates with (r04 verdict #3): fetch
+    ONLY this batch's politeness-key cutoff slice from the owning cutoff
+    shards (the same hash-by-host routing as offers), never the full
+    O(active hosts) dict.  One RPC per shard that owns a host present in
+    the batch; payload bounded by the batch's distinct pkeys."""
     import ray
 
     pkeys = pkey_of(
@@ -575,8 +574,9 @@ class CutoffShard:
         return {pk: c[pk] for pk in pkeys if pk in c}
 
     def fetch_ready(self, round_no: int) -> dict:
-        """Hand the resident cutoffs to the driver (broadcast transport —
-        the small-cutoff fast path)."""
+        """Hand the resident cutoffs over whole. The crawl never calls
+        this (its tasks pull slices); :meth:`CutoffPool.fetch_ready`
+        uses it to check pulled slices against the full dict."""
         return self.ready.pop(round_no, {})
 
 
@@ -589,8 +589,10 @@ class CutoffPool(RoleFacade):
     of round r+1, each producing task also offers its partial top-k for
     round r+1 to these shards; the execution barrier at the end of round
     r guarantees completeness, so at the start of round r+1 the driver
-    collects exact per-key cutoffs (the budget-th order key) and
-    broadcasts them. The frontier is never shuffled for politeness."""
+    has each shard finalize its exact per-key cutoffs (the budget-th
+    order key) and keep them resident; every round_step call pulls its
+    batch's slice (:func:`pull_cutoffs_for`). The frontier is never
+    shuffled for politeness."""
 
     role = "cutoff"
 
@@ -632,8 +634,10 @@ class CutoffPool(RoleFacade):
         return n, hot
 
     def fetch_ready(self, round_no: int) -> dict:
-        """Pull every shard's finalized cutoffs to the driver — the
-        broadcast transport's small-dict fast path."""
+        """Pull every shard's finalized cutoffs to the driver. The crawl
+        never calls this; tests check pulled slices against it, and the
+        benchmark's traced run wraps it as
+        ``state.politeness.fetch_ready``."""
         import ray
 
         out: dict = {}

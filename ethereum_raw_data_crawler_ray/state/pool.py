@@ -35,7 +35,7 @@ each taking seconds. On crawl-polite's config in a 2-CPU session
 The actor forwards each role method under the role method's own name.
 Every role defines ``items``: the actor's one ``health()`` reports it
 for each role it hosts, and ``store_count`` / ``seen_count`` forward
-the store's ``count`` and the seen shard's ``items``.
+the store's and the seen shard's ``items``.
 
 A restart restarts every role in the process, and each recovers on its
 own: the store re-reads the immutable fetch index, the seen shard
@@ -87,7 +87,7 @@ def scatter(handles: list, owner: np.ndarray, call) -> tuple[list, list]:
 _FORWARD = {
     "fetch_packed": ("store", "fetch_packed"),
     "load_files": ("store", "load_files"),
-    "store_count": ("store", "count"),
+    "store_count": ("store", "items"),
     "check_and_insert": ("seen", "check_and_insert"),
     "contains": ("seen", "contains"),
     "digest": ("seen", "digest"),

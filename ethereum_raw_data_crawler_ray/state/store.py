@@ -12,19 +12,13 @@ round. It is the crawl's only fetch path: every round task looks its
 pages up here, and watch-mode ingest adds pushed index files to the
 live shards (:meth:`ActorPageStore.load_new_files`).
 
-Two residency modes (``extra["store_mode"]``):
-
-* ``preload`` (default) — each shard decodes its buckets' pages into a
-  dict once per run. Fastest lookups; memory = corpus/n_shards.
-* ``lazy`` — the 100-TB shape: each shard holds ONLY a
-  ``url_hash → (file, row_group)`` index (8+4 bytes per page, built
-  from one thin pass over the url column) and reads row groups on
-  demand through a bounded LRU of decoded groups. Memory is
-  index + LRU, independent of corpus payload size.
-
-Both modes share the packed-buffer fetch protocol and the incremental
-``load_files`` path, and are cross-validated by tests (lazy crawl output
-== preload crawl output, and pushed pages crawled in both).
+Each shard holds only a ``url_hash → (file, row_group)`` index (8+4
+bytes per page, built from one thin pass over the url column) and reads
+row groups on demand through an LRU of :data:`LRU_GROUPS` decoded
+groups, so its memory is index + LRU, independent of the corpus payload
+size — no process ever holds all the pages. A url loaded twice resolves
+to its newest copy, and two urls sharing a 64-bit hash each resolve to
+their own page.
 """
 
 from __future__ import annotations
@@ -41,6 +35,11 @@ import ray
 from ..functions.hashing import hash_strings
 from .pool import RoleFacade, StatePool, groups, scatter, url_owner
 
+# decoded row groups a store shard keeps; read by ActorPageStore when it
+# is built and passed to its shards, so setting it before a pipeline
+# prepares sizes that pipeline's actors
+LRU_GROUPS = 64
+
 
 class PageStoreShard:
     """Owns the pages whose url_hash % n_shards == shard_id — a role of
@@ -53,11 +52,9 @@ class PageStoreShard:
     (crawler_service.go:855-861)."""
 
     def __init__(self, shard_id: int, index_dir: str, n_buckets: int,
-                 n_shards: int, mode: str = "preload", lru_groups: int = 64):
-        self.mode = mode
-        self.store: dict[str, tuple[int, bytes, str]] = {}
-        # lazy-mode state: sorted url_hash array + parallel (file_id,
-        # row_group) locators; LRU of decoded row-group dicts
+                 n_shards: int, lru_groups: int = LRU_GROUPS):
+        # sorted url_hash array + parallel (file_id, row_group) locators;
+        # equal hashes stay in load order, oldest first
         self._files: list[str] = []
         self._idx_hash = np.empty(0, dtype=np.uint64)
         self._idx_loc = np.empty((0, 2), dtype=np.int32)
@@ -72,55 +69,27 @@ class PageStoreShard:
         ])
 
     # --- loading ----------------------------------------------------------
-    def _load_file_preload(self, path: str) -> int:
-        t = pq.read_table(path, columns=["url", "warc_ts", "html", "lang"])
-        for u, ts, h, lg in zip(
-            t["url"].to_pylist(),
-            t["warc_ts"].cast(pa.int64()).to_pylist(),
-            t["html"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            self.store[u] = (ts, h, lg)
-        return len(t)
-
-    def _load_file_lazy(self, path: str) -> int:
-        """One THIN pass over the url column per row group → index
-        entries (url_hash, file_id, row_group). Payload bytes stay on
-        disk until a fetch touches their row group."""
-        fid = len(self._files)
-        self._files.append(path)
-        pf = pq.ParquetFile(path)
-        hashes, locs = [], []
-        for rg in range(pf.metadata.num_row_groups):
-            urls = pf.read_row_group(rg, columns=["url"])["url"]
-            h = hash_strings(urls)
-            hashes.append(h)
-            locs.append(
-                np.column_stack(
-                    [np.full(len(h), fid, dtype=np.int32),
-                     np.full(len(h), rg, dtype=np.int32)]
-                )
-            )
-        n = 0
-        if hashes:
-            h = np.concatenate(hashes)
-            loc = np.vstack(locs)
-            n = len(h)
-            allh = np.concatenate([self._idx_hash, h])
-            allloc = np.vstack([self._idx_loc, loc])
+    def load_files(self, paths: list[str]) -> int:
+        """Initial + incremental (watch-mode) loading: one THIN pass over
+        each row group's url column → index entries (url_hash, file_id,
+        row_group); payload bytes stay on disk until a fetch touches
+        their row group. Restart-safe for free — the files live under
+        the index dir, so a restarted shard's __init__ re-reads them."""
+        hashes, locs = [self._idx_hash], [self._idx_loc]
+        for path in paths:
+            fid = len(self._files)
+            self._files.append(path)
+            pf = pq.ParquetFile(path)
+            for rg in range(pf.metadata.num_row_groups):
+                h = hash_strings(pf.read_row_group(rg, columns=["url"])["url"])
+                hashes.append(h)
+                locs.append(np.tile(np.array([fid, rg], dtype=np.int32), (len(h), 1)))
+        n = sum(len(h) for h in hashes[1:])
+        if n:
+            allh = np.concatenate(hashes)
             order = np.argsort(allh, kind="stable")
             self._idx_hash = allh[order]
-            self._idx_loc = allloc[order]
-        return n
-
-    def load_files(self, paths: list[str]) -> int:
-        """Initial + incremental (watch-mode) loading. Restart-safe for
-        free — the files live under the index dir, so a restarted
-        shard's __init__ re-reads them."""
-        if self.mode == "lazy":
-            n = sum(self._load_file_lazy(p) for p in paths)
-        else:
-            n = sum(self._load_file_preload(p) for p in paths)
+            self._idx_loc = np.vstack(locs)[order]
         self._n_pages += n
         return n
 
@@ -149,23 +118,31 @@ class PageStoreShard:
         return got
 
     def _get_many(self, urls: list[str]) -> list:
-        if self.mode != "lazy":
-            return [self.store.get(u) for u in urls]
+        """Each url's (warc_ts, html, lang), or None. A url's index
+        entries are tried newest first — so a url loaded twice resolves
+        to its newest copy — and each tried row group is checked for the
+        url itself, so a 64-bit hash collision falls through to the next
+        entry instead of missing. Every pass decodes each touched row
+        group once."""
         h = hash_strings(urls)
-        pos = np.searchsorted(self._idx_hash, h)
+        first = np.searchsorted(self._idx_hash, h, side="left")
+        cand = np.searchsorted(self._idx_hash, h, side="right") - 1
         out: list = [None] * len(urls)
-        # group row-group reads: decode each touched group once
-        by_group: dict[tuple, list[int]] = {}
-        for i in range(len(urls)):
-            p = pos[i]
-            if p < len(self._idx_hash) and self._idx_hash[p] == h[i]:
-                by_group.setdefault(
-                    (int(self._idx_loc[p, 0]), int(self._idx_loc[p, 1])), []
-                ).append(i)
-        for (fid, rg), ixs in by_group.items():
-            grp = self._row_group(fid, rg)
-            for i in ixs:
-                out[i] = grp.get(urls[i])
+        todo = np.flatnonzero(cand >= first)
+        while len(todo):
+            by_group: dict[tuple, list[int]] = {}
+            for i, loc in zip(todo.tolist(), self._idx_loc[cand[todo]].tolist()):
+                by_group.setdefault(tuple(loc), []).append(i)
+            miss = []
+            for (fid, rg), ixs in by_group.items():
+                grp = self._row_group(fid, rg)
+                for i in ixs:
+                    out[i] = grp.get(urls[i])
+                    if out[i] is None:
+                        miss.append(i)
+            todo = np.asarray(miss, dtype=np.int64)
+            cand[todo] -= 1
+            todo = todo[cand[todo] >= first[todo]]
         return out
 
     def fetch_packed(self, urls: list[str]):
@@ -185,10 +162,8 @@ class PageStoreShard:
         return found, ts, langs, offs, buf
 
     def items(self) -> int:
-        """Pages held, for the health row (distinct urls in preload)."""
-        return len(self.store) if self.mode == "preload" else self._n_pages
-
-    def count(self) -> int:
+        """Index entries (pages loaded), for the health row and
+        :meth:`ActorPageStore.wait_ready`."""
         return self._n_pages
 
 
@@ -199,13 +174,12 @@ class ActorPageStore(RoleFacade):
     role = "store"
 
     def __init__(self, index_dir: str, n_buckets: int, n_shards: int,
-                 mode: str = "preload", lru_groups: int = 64,
                  pool: StatePool | None = None):
         if n_buckets % n_shards != 0:
             raise ValueError("n_buckets must be a multiple of n_store_shards")
         self._host(pool, n_shards, index_dir=index_dir,
-                   n_buckets=n_buckets, n_shards=n_shards, mode=mode,
-                   lru_groups=lru_groups)
+                   n_buckets=n_buckets, n_shards=n_shards,
+                   lru_groups=LRU_GROUPS)
 
     def wait_ready(self) -> int:
         """Block until every store shard has loaded its index; → pages."""

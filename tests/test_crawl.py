@@ -272,16 +272,16 @@ class TestAltConfigPaths:
 
 
 class TestLazyStoreMode:
-    def test_lazy_store_matches_preload(self, crawl_run, corpus_dir):
-        # the 100-TB store shape: shards hold only a hash→row-group
-        # index + a bounded LRU of decoded groups; output must equal the
-        # full-preload crawl exactly
+    def test_lazy_store_matches_preload(self, crawl_run, corpus_dir, monkeypatch):
+        # the eviction receipt: store shards hold only a hash→row-group
+        # index + an LRU of decoded groups; with an LRU of 4 groups the
+        # shards evict all crawl long, and the output must equal the
+        # main crawl's, whose 64-group LRU holds every row group
+        from ethereum_raw_data_crawler_ray.state import store
+
         cfg_main, _, _ = crawl_run
         cfg = make_cfg(corpus_dir, "lazystore")
-        cfg = CrawlConfig(
-            **{**cfg.__dict__,
-               "extra": {**cfg.extra, "store_mode": "lazy", "store_lru_groups": 4}}
-        )
+        monkeypatch.setattr(store, "LRU_GROUPS", 4)
         shutil.rmtree(cfg.out_dir, ignore_errors=True)
         p = CrawlPipeline(cfg)
         p.run(max_rounds=60)
@@ -497,6 +497,53 @@ class TestBackoffShardRestart:
             u: pg["text"] for u, pg in gold["pages"].items()
         }
         _assert_same_crawl(ref.out_dir, cfg.out_dir)
+
+
+class TestCutoffShardRestartInRound:
+    def test_restart_after_finalize_fails_round_then_resumes(self, crawl_run,
+                                                             golden_run, corpus_dir):
+        # a pool actor that restarts after the driver finalized round r's
+        # cutoffs has lost them: the round's cutoff pulls must fail it
+        # loudly before anything commits (a shard with no cutoffs reads
+        # as "fewer candidates than budget", so its hosts would fetch
+        # every candidate), and a fresh pipeline resumes to the
+        # uninterrupted crawl
+        import ray
+
+        from ethereum_raw_data_crawler_ray.state.pool import host_owner
+
+        cfg_main, _, _ = crawl_run
+        cfg = make_cfg(corpus_dir, "cutoff_restart")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        r = 2
+        pipe = CrawlPipeline(cfg)
+        pipe.run(max_rounds=r)
+        hosts = pd.concat(pq.read_table(f).to_pandas()["host"]
+                          for _, f, _ in pipe._frontier_plan(r))
+        assert (host_owner(hosts.to_numpy(), len(pipe.cutoff_pool.handles)) == 0).any()
+        finalize = pipe.cutoff_pool.finalize
+
+        def finalize_then_restart(*args, **kwargs):
+            out = finalize(*args, **kwargs)
+            ray.kill(pipe.cutoff_pool.handles[0], no_restart=False)
+            _wait_restarted(pipe.cutoff_pool.handles[0])
+            return out
+
+        pipe.cutoff_pool.finalize = finalize_then_restart
+        with pytest.raises(KeyError, match="not resident"):
+            pipe.run_round(r)
+        assert not os.path.exists(os.path.join(cfg.out_dir, "rounds", f"round_{r:05d}"))
+        assert pipe.last_complete_round() == r - 1
+        pipe.close()
+
+        p2 = CrawlPipeline(cfg)
+        p2.run(max_rounds=60)
+        p2.close()
+        df = _rounds_df(cfg.out_dir)
+        assert {u: t for u, t in zip(df["url"], df["text"])} == {
+            u: pg["text"] for u, pg in golden_run["pages"].items()
+        }
+        _assert_same_crawl(cfg_main.out_dir, cfg.out_dir)
 
 
 class TestActorFaultTolerance:
@@ -824,6 +871,51 @@ class TestRoundStats:
             # the tasks read every frontier row of the round once
             assert s["rows"] == frontier, s
             frontier = s["next_frontier"]
+
+    def test_carry_offers_count_toward_offers(self, corpus_dir, ray_session,
+                                              monkeypatch):
+        # the carry offers run while the seen claims are in flight; their
+        # seconds belong to ``offers``, not ``explode_seen``, and a
+        # call's stage seconds still sum to its wall
+        from ethereum_raw_data_crawler_ray.stages import roundstep
+
+        cfg = make_cfg(corpus_dir, "stage_attr")
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pipe = CrawlPipeline(cfg)
+        try:
+            pipe.prepare()
+            pipe.bootstrap(pq.read_table(corpus_dir + "/seeds.parquet"))
+            pipe._backfill_offers(0)
+            pipe.cutoff_pool.finalize(0, cfg.host_skew_threshold, pipe._n_salt)
+            df = pq.read_table(os.path.join(cfg.out_dir, "frontier", "round_00000"),
+                               columns=roundstep._FRONTIER_COLS).to_pandas()
+            # every other row sits in a skip window: it is carried as is
+            df.loc[::2, "skip_until_round"] = 5
+            slow_s, calls = 0.5, []
+            offer = roundstep.offer_candidates
+
+            def slow_offer(*args, **kwargs):
+                calls.append(1)
+                time.sleep(slow_s)
+                return offer(*args, **kwargs)
+
+            monkeypatch.setattr(roundstep, "offer_candidates", slow_offer)
+            t0 = time.perf_counter()
+            parts, durs, _, _ = roundstep.round_step(
+                df, round_no=0, robots_ref=pipe.robots_ref,
+                store_handles=pipe.store.handles, seen_handles=pipe.seen.handles,
+                max_retries=cfg.max_retries, skip_rounds=cfg.skip_rounds,
+                error_permille=ERR_PERMILLE, hot_gate={}, hot_offer={},
+                **pipe._politeness_kwargs())
+            wall = time.perf_counter() - t0
+        finally:
+            pipe.close()
+        assert len(parts[roundstep.ROW_CARRY]) and len(parts[roundstep.ROW_DISC])
+        assert list(durs) == list(roundstep.STAGES[1:])
+        assert len(calls) == 2  # carry, then the novel discovered rows
+        assert durs["offers"] >= 2 * slow_s
+        assert durs["explode_seen"] < slow_s
+        assert wall - 0.05 <= sum(durs.values()) <= wall
 
 
 class TestRoundPartWriter:
@@ -1206,15 +1298,15 @@ class TestWatchIngest:
         sub = df[df["url"].isin(pushed_public)]
         assert (sub["round"] >= 2).all()
 
-    def test_push_with_lazy_store_mode(self, corpus_dir, ray_session):
-        # lazy store shards index pushed files incrementally: the new
-        # (hash, file, row group) entries merge into the sorted index of
-        # the live shard, so pushed pages are found with their payload
+    def test_push_with_lazy_store_mode(self, corpus_dir, ray_session, monkeypatch):
+        # store shards index pushed files incrementally: the new (hash,
+        # file, row group) entries merge into the sorted index of the
+        # live shard, so pushed pages are found with their payload, also
+        # while a 4-group LRU evicts
+        from ethereum_raw_data_crawler_ray.state import store
+
         cfg = self._watch_cfg(corpus_dir, "watch_lazy")
-        cfg = CrawlConfig(
-            **{**cfg.__dict__,
-               "extra": {**cfg.extra, "store_mode": "lazy", "store_lru_groups": 4}}
-        )
+        monkeypatch.setattr(store, "LRU_GROUPS", 4)
         shutil.rmtree(cfg.out_dir, ignore_errors=True)
         self._drive(cfg, corpus_dir, push_at=2)
         df = _rounds_df(cfg.out_dir)
@@ -1627,31 +1719,7 @@ class TestCutoffPullTransport:
     """r04 verdict #3: politeness cutoffs stay shard-RESIDENT and gating
     tasks pull only their batch's pkey slice — the driver payload is one
     count per shard plus the (tiny) hot-host set, flat in the number of
-    active hosts."""
-
-    def test_pull_crawl_bit_identical_to_broadcast(self, crawl_run,
-                                                   corpus_dir, monkeypatch):
-        cfg_main, _, totals_main = crawl_run
-        cfg = make_cfg(corpus_dir, "cutoff_pull")
-        monkeypatch.setattr(crawl_mod, "MAX_CUTOFF_BROADCAST", -1)  # always pull
-        shutil.rmtree(cfg.out_dir, ignore_errors=True)
-        pipe = CrawlPipeline(cfg)
-        totals = pipe.run(max_rounds=60)
-        pipe.close()
-        assert totals["fetched"] == totals_main["fetched"]
-        a = _rounds_df(cfg_main.out_dir).sort_values("url").reset_index(drop=True)
-        b = _rounds_df(cfg.out_dir).sort_values("url").reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            a[["url", "text", "lang", "round", "depth", "n_bytes"]],
-            b[["url", "text", "lang", "round", "depth", "n_bytes"]],
-        )
-        la = lineage_output(cfg_main.out_dir).to_pandas().sort_values(
-            ["round", "partition_id"]).reset_index(drop=True)
-        lb = lineage_output(cfg.out_dir).to_pandas().sort_values(
-            ["round", "partition_id"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            la.drop(columns=["wall_s"]), lb.drop(columns=["wall_s"])
-        )
+    active hosts. Every crawl test runs this transport."""
 
     def test_driver_payload_flat_in_host_count(self, corpus_dir,
                                                ray_session):
@@ -1721,30 +1789,3 @@ class TestCutoffPullTransport:
             assert pulled == full and len(full) == n_hosts
         finally:
             pool.kill()
-
-
-class TestWatchWithPullTransport:
-    def test_watch_crawl_pull_equals_broadcast(self, corpus_dir,
-                                               ray_session, monkeypatch):
-        # interaction gap: pushed pages offer candidates to the cutoff
-        # shards mid-run; the shard-resident pull transport must yield
-        # the SAME crawl as the broadcast transport in watch mode too
-        import pyarrow.dataset as pads
-
-        outs = {}
-        for transport in ("broadcast", "pull"):
-            cfg = TestWatchIngest()._watch_cfg(
-                corpus_dir, f"watch_{transport}")
-            if transport == "pull":
-                monkeypatch.setattr(crawl_mod, "MAX_CUTOFF_BROADCAST", -1)
-            shutil.rmtree(cfg.out_dir, ignore_errors=True)
-            TestWatchIngest()._drive(cfg, corpus_dir, push_at=2)
-            outs[transport] = (
-                _rounds_df(cfg.out_dir).sort_values("url")
-                .reset_index(drop=True)
-            )
-        cols = ["url", "text", "lang", "round", "depth", "n_bytes"]
-        pd.testing.assert_frame_equal(
-            outs["broadcast"][cols], outs["pull"][cols]
-        )
-        assert len(outs["pull"]) > 1400  # pushed pages included

@@ -262,3 +262,28 @@ def test_dim_attach_join_fallback_matches_oracle(sf_dir, ray_session,
     assert not any(check_all(sf_dir, only=names, strict_dtypes=True).values())
     monkeypatch.setattr(q, "MAX_DIM_BROADCAST", 0)
     assert not any(check_all(sf_dir, only=names, strict_dtypes=True).values())
+
+
+def test_q111_type_without_k_sums_to_null(tmp_path, ray_session):
+    # an event type none of whose props carry "k": COUNT(k) is 0 and
+    # SUM(k) is NULL in SQL, so the engine's sum_k must be null there
+    # (it read 0 before), in the oracle's float64 dtype class
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ethereum_raw_data_crawler_ray.pipelines.oracle_check import (
+        compare,
+        oracle_connect,
+    )
+
+    pq.write_table(pa.table({
+        "event_type": ["click", "click", "view", "view", "buy"],
+        "props": ['{"k": 3}', '{"k": -1, "x": 2}', '{"x": 1}', '{}', '{"k": 7}'],
+    }), tmp_path / "events.parquet")
+    name = "q111_json_field_agg"
+    got = to_pandas(QUERIES[name](str(tmp_path)))
+    want = oracle_connect(str(tmp_path)).execute(ORACLE_SQL[name]).fetchdf()
+    assert compare(name, got, want, strict_dtypes=True) == []
+    view = got.set_index("event_type").loc["view"]
+    assert view["n"] == 0 and np.isnan(view["sum_k"]) and np.isnan(view["avg_k"])
+    assert got.set_index("event_type").loc["click", "sum_k"] == 2
