@@ -56,7 +56,7 @@ MAX_DIM_BROADCAST = 20_000_000
 
 
 def _attach_dim(fact, fact_key: str, dim, dim_key: str, val_col: str,
-                fact_fields: list, max_dim_broadcast: int | None = None):
+                fact_fields: list):
     """Attach ONE integer dimension column to a fact stream.
 
     Below the guard: the J1 broadcast shape — the dim collapses to a
@@ -67,10 +67,8 @@ def _attach_dim(fact, fact_key: str, dim, dim_key: str, val_col: str,
     allocating an O(max key) array in every worker."""
     import ray
 
-    if max_dim_broadcast is None:
-        max_dim_broadcast = MAX_DIM_BROADCAST
     dim = dim.materialize()
-    if dim.count() <= max_dim_broadcast:
+    if dim.count() <= MAX_DIM_BROADCAST:
         ddf = dim.to_pandas()
         lut_ref = ray.put(_dense_lookup(ddf[dim_key], ddf[val_col]))
 
@@ -590,11 +588,11 @@ def q26_minhash_pairs(sf_dir: str):
 
 def q27_dedup_groups(sf_dir: str):
     """Near-dup groups: LSH candidates → n-gram-Jaccard verify →
-    grouping → streamed assignment (no oracle). ``distribute="auto"``
-    keeps the broadcast plan at bench scale and switches to the fully
-    distributed one (inverted-gram count join + distributed connected
-    components — no driver pair/gram/union-find state) past the
-    candidate-pair guard; the two plans are equivalence-tested."""
+    grouping → streamed assignment (no oracle). The broadcast plan runs
+    at bench scale; past ``dedup.MAX_DRIVER_PAIRS`` candidate pairs the
+    fully distributed one does (inverted-gram count join + distributed
+    connected components — no driver pair/gram/union-find state); the
+    two plans are equivalence-tested."""
     return dedup.near_dup_groups(
         _t(sf_dir, "documents", ["doc_id", "text"]), "text", "doc_id"
     )

@@ -20,9 +20,9 @@ Scale notes (the partitioning contracts, per SURVEY.md §2.11):
 - ``tfidf_topk`` / ``lm_score``: the model table (document
   frequencies / n-gram counts) is broadcast via ``ray.put`` (read once
   per actor, not per batch) while it fits — natural-language
-  vocabularies are ≤ ~10M tokens.  Past the ``max_*_broadcast`` guard
-  (a web-garbage vocabulary is 10⁸+ entries) both AUTOMATICALLY fall
-  back to the token-keyed shuffle-join scale path (one bucketed
+  vocabularies are ≤ ~10M tokens.  Past :data:`MAX_VOCAB_BROADCAST` /
+  :data:`MAX_MODEL_BROADCAST` rows (a web-garbage vocabulary is 10⁸+
+  entries) both run the token-keyed shuffle-join scale path (one bucketed
   exchange of thin gram rows against the model; documents never
   shuffle) — equivalence-tested against the broadcast path.
 - ``repetition_stats``: embarrassingly parallel, no shuffle; the only
@@ -137,10 +137,12 @@ def inverted_index(ds: rd.Dataset, text_col: str = "text",
 # --------------------------------------------------------------------------
 # TF-IDF distinctive terms
 # --------------------------------------------------------------------------
+# vocabulary rows up to which tfidf_topk broadcasts the df table
+MAX_VOCAB_BROADCAST = 10_000_000
+
+
 def tfidf_topk(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id",
-               k: int = 3, max_vocab_broadcast: int = 10_000_000,
-               distribute: str = "auto",
-               n_buckets: int | None = None) -> rd.Dataset:
+               k: int = 3, n_buckets: int | None = None) -> rd.Dataset:
     """Top-``k`` most distinctive terms per document, scored
     ``tf × (N / df)`` (a log-free inverse-document-frequency variant:
     one division and one multiplication, both correctly rounded IEEE-754,
@@ -149,40 +151,24 @@ def tfidf_topk(ds: rd.Dataset, text_col: str = "text", id_col: str = "doc_id",
     oracle flaky; raw tf and df ship in the output so callers can apply
     any idf curve downstream).
 
-    Model distribution (``distribute``): ``"broadcast"`` ships the
-    vocabulary-sized df table once per worker via ``ray.put`` (the
-    right plan for natural-language vocabularies, ≤ ~10M tokens) —
-    scoring is then a shuffle-free map with per-batch top-k.
-    ``"shuffle"`` is the web-garbage-vocabulary scale path (10⁸+
-    tokens): a token-keyed :func:`~.joins.hash_join` of the per-doc tf
-    rows against the df table (ONE bucketed exchange, no driver pull,
-    no broadcast), then a doc-keyed bucket exchange for the per-doc
-    top-k.  ``"auto"`` (default) broadcasts up to
-    ``max_vocab_broadcast`` rows and falls back to the shuffle join
-    above it (r03 verdict #3 — previously it raised).  Both paths
-    compute the identical per-row float expression, so their outputs
-    are bit-identical (equivalence-tested).
+    Model distribution: up to :data:`MAX_VOCAB_BROADCAST` vocabulary
+    rows the df table ships once per worker via ``ray.put`` (the right
+    plan for natural-language vocabularies, ≤ ~10M tokens) — scoring is
+    then a shuffle-free map with per-batch top-k.  Past it,
+    :func:`_tfidf_topk_shuffle` runs the web-garbage-vocabulary scale
+    path (10⁸+ tokens).  Both paths compute the identical per-row float
+    expression, so their outputs are bit-identical (equivalence-tested).
 
     Returns (doc_id, token, tf, df, score, rnk), rnk 1-based.
     """
     import ray
 
-    if distribute not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"unknown distribute={distribute!r}")
     idx = inverted_index(ds, text_col, id_col).materialize()
     n_docs = float(ds.count())
     # size check BEFORE any driver pull: count() on the materialized
-    # index is metadata-only, so an oversized vocabulary reroutes (or
-    # raises, if broadcast was forced) without shipping a row
-    vocab_n = idx.count()
-    if vocab_n > max_vocab_broadcast:
-        if distribute == "broadcast":
-            raise ValueError(
-                f"vocabulary {vocab_n} exceeds max_vocab_broadcast "
-                f"{max_vocab_broadcast}; use distribute='shuffle'"
-            )
-        distribute = "shuffle"
-    if distribute == "shuffle":
+    # index is metadata-only, so an oversized vocabulary reroutes
+    # without shipping a row
+    if idx.count() > MAX_VOCAB_BROADCAST:
         return _tfidf_topk_shuffle(ds, idx, text_col, id_col, k, n_docs,
                                    n_buckets)
     df_tab = idx.take_all()
@@ -407,9 +393,10 @@ def clean_corpus(ds: rd.Dataset, text_col: str = "text",
     gates use INTEGER comparisons (``10·n_distinct ≥ pct10·n_words``,
     ``10·top_c ≤ pct10·n_words``) so there is no float boundary to
     drift against the SQL oracle.  Duplicate texts have identical
-    stats, so filter-then-dedup equals dedup-then-filter; the dedup is
-    the q20 shape (content-hash groupby, keep the minimum id — and the
-    survivors' shared ``n_words`` rides along as a second Min).
+    stats, so filter-then-dedup equals dedup-then-filter; the dedup
+    groups on the text itself (the oracle's key, so two distinct texts
+    never merge), keeps the minimum id, and the survivors' shared
+    ``n_words`` rides along as a second Min.
 
     Returns a (doc_id, n_words) Dataset of kept documents."""
     from ray.data.aggregate import Min
@@ -419,8 +406,7 @@ def clean_corpus(ds: rd.Dataset, text_col: str = "text",
 
         texts = t[text_col].to_pylist()
         ids = np.asarray(t[id_col].to_pandas(), dtype=np.int64)
-        keep_h, keep_id, keep_n = [], [], []
-        h = hash_strings(t[text_col]).view(np.int64)
+        keep_t, keep_id, keep_n = [], [], []
         for i, x in enumerate(texts):
             if x is None:  # NULL text: the oracle's unnest emits no rows
                 continue
@@ -430,12 +416,12 @@ def clean_corpus(ds: rd.Dataset, text_col: str = "text",
                     and 10 * len(c) >= min_distinct_pct10 * n
                     and 10 * max(c.values(), default=0)
                         <= max_top_pct10 * n):
-                keep_h.append(int(h[i]))
+                keep_t.append(x)
                 keep_id.append(int(ids[i]))
                 keep_n.append(n)
         return pa.table(
             {
-                "content_hash": pa.array(keep_h, type=pa.int64()),
+                text_col: pa.array(keep_t, type=pa.string()),
                 id_col: pa.array(keep_id, type=pa.int64()),
                 "n_words": pa.array(keep_n, type=pa.int64()),
             }
@@ -443,7 +429,7 @@ def clean_corpus(ds: rd.Dataset, text_col: str = "text",
 
     return (
         ds.map_batches(flt, batch_format="pyarrow")
-        .groupby("content_hash")
+        .groupby(text_col)
         .aggregate(Min(id_col, alias_name=id_col + "_keep"),
                    Min("n_words", alias_name="n_words"))
         .select_columns([id_col + "_keep", "n_words"])
@@ -660,11 +646,13 @@ def jaccard_ngram_pairs(ds: rd.Dataset, text_col: str = "text",
 # --------------------------------------------------------------------------
 # bigram language-model quality score (CCNet-style filtering primitive)
 # --------------------------------------------------------------------------
+# model rows up to which lm_score broadcasts the count table
+MAX_MODEL_BROADCAST = 20_000_000
+
+
 def lm_score(train_ds: rd.Dataset, score_ds: rd.Dataset,
              text_col: str = "text", id_col: str = "doc_id",
-             alpha: float = 0.1,
-             max_model_broadcast: int = 20_000_000,
-             distribute: str = "auto") -> rd.Dataset:
+             alpha: float = 0.1) -> rd.Dataset:
     """Per-document mean bigram log-probability under an add-α-smoothed
     bigram model counted from ``train_ds`` — the in-domain/perplexity
     quality signal large corpus pipelines use for filtering (CCNet,
@@ -672,30 +660,20 @@ def lm_score(train_ds: rd.Dataset, score_ds: rd.Dataset,
 
     Two phases: (1) bigram + unigram counts via the same per-batch
     combiner + bucketed reduce as :func:`inverted_index`; (2) scoring.
-    ``distribute="broadcast"`` ships the count table once per worker
-    and scores in a shuffle-free map; ``"shuffle"`` is the scale path
-    for models past ``max_model_broadcast`` rows — per-doc distinct
-    (bigram, multiplicity) rows are gram-keyed hash-joined against the
-    model twice (bigram count, then unigram count — two bucketed
-    exchanges of the THIN gram rows; documents never shuffle) and
-    reduced per doc-bucket; ``"auto"`` (default) broadcasts small
-    models and falls back to the shuffle join above the threshold (r03
-    verdict #3 — previously it raised).  The shuffle path groups equal
-    bigrams before the log, so its sums associate differently —
-    equality is to float-roundoff, not bit-exact (rows-only operator;
-    the ordering properties are pinned by tests).  Rows-only by
-    design: ``log`` is not correctly-rounded across libm
+    Up to :data:`MAX_MODEL_BROADCAST` model rows the count table ships
+    once per worker and scoring is a shuffle-free map; past it
+    :func:`_lm_score_shuffle` hash-joins per-doc distinct (bigram,
+    multiplicity) rows against the model (documents never shuffle).
+    The shuffle path groups equal bigrams before the log, so its sums
+    associate differently — equality is to float-roundoff, not
+    bit-exact (rows-only operator; the ordering properties are pinned
+    by tests).  Rows-only by design: ``log`` is not correctly-rounded across libm
     implementations, so no SQL oracle can be bit-identical.
 
     Returns (doc_id, n_bigrams, avg_logp); documents with < 2 tokens
     get avg_logp = 0.0 and n_bigrams = 0.
     """
     import ray
-
-    # validate BEFORE the (possibly minutes-long) model build, matching
-    # tfidf_topk's ordering — a typo'd mode must fail at call time
-    if distribute not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"unknown distribute={distribute!r}")
 
     def bigram_stage(t: pa.Table) -> pa.Table:
         occ = _explode_tokens(t, text_col, id_col)
@@ -724,15 +702,7 @@ def lm_score(train_ds: rd.Dataset, score_ds: rd.Dataset,
     model = exchange(train_ds.map_batches(bigram_stage, batch_format="pyarrow"),
                      "gram", reduce_bucket).materialize()
     # size check BEFORE the driver pull (count on materialized = metadata)
-    if model.count() > max_model_broadcast:
-        if distribute == "broadcast":
-            raise ValueError(
-                f"model table {model.count()} exceeds max_model_broadcast "
-                f"{max_model_broadcast}; use distribute='shuffle' or prune "
-                "low-count n-grams upstream"
-            )
-        distribute = "shuffle"
-    if distribute == "shuffle":
+    if model.count() > MAX_MODEL_BROADCAST:
         return _lm_score_shuffle(model, score_ds, text_col, id_col, alpha)
     model_rows = model.take_all()
     counts = {r["gram"]: r["n"] for r in model_rows}

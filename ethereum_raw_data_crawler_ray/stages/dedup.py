@@ -17,8 +17,8 @@ Scale notes (per SURVEY.md §7.4):
   set + broadcast gram dict + driver union-find) and a fully
   distributed plan for dup-heavy corpora where candidate state is
   O(corpus) (semi-join + inverted-gram count join + distributed
-  connected components); ``distribute="auto"`` picks by measured
-  candidate-pair count (r04 verdict #2).
+  connected components); the measured candidate-pair count picks one
+  against :data:`MAX_DRIVER_PAIRS` (r04 verdict #2).
 * Exact dedup hash-partitions by content hash — one shuffle of (hash,
   id) pairs, not of documents.
 """
@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.hashing import hash_strings
+from . import joins
 from .joins import _default_buckets, _pool, exchange
 from ..functions.textstats import (
     char_shingles,
@@ -101,24 +102,54 @@ def minhash_stage(t: pa.Table, *, text_col: str, id_col: str,
     )
 
 
-def _spread_if_small(ds: rd.Dataset, max_rows: int = 2_000_000) -> rd.Dataset:
+# rows up to which _spread_if_small repartitions a corpus
+SPREAD_MAX_ROWS = 2_000_000
+# multi-member band keys up to which minhash candidates broadcast the
+# key array; past it the signature rows semi-join the key Dataset
+MAX_KEYS_BROADCAST = 5_000_000
+# candidate pairs up to which near_dup_groups runs its broadcast plan
+MAX_DRIVER_PAIRS = 2_000_000
+
+
+def _spread_if_small(ds: rd.Dataset) -> rd.Dataset:
     """A small corpus read from one file/row-group arrives as ONE block,
     serializing every downstream map task on a single core. Spread it —
-    but only below ``max_rows``: the check is a metadata-only count, the
-    repartition of a sub-2M-row table is trivial, and a corpus-scale
-    input (which already arrives in many blocks/files) never pays an
-    extra all-to-all here."""
+    but only up to :data:`SPREAD_MAX_ROWS`: the check is a metadata-only
+    count, the repartition of a sub-2M-row table is trivial, and a
+    corpus-scale input (which already arrives in many blocks/files)
+    never pays an extra all-to-all here."""
     try:
         n = ds.count()
     except Exception:
         return ds
-    if n is None or n > max_rows:
+    if n is None or n > SPREAD_MAX_ROWS:
         return ds
     return ds.repartition(_default_buckets())
 
 
-def multi_bucket_keys(ds: rd.Dataset, key_col: str, max_bucket: int,
-                      driver_merge_rows: int = 5_000_000) -> np.ndarray:
+def _multi_bucket_key_ds(thin: rd.Dataset, key_col: str,
+                         max_bucket: int) -> rd.Dataset:
+    """The distributed count of :func:`multi_bucket_keys`: one
+    :func:`~.joins.exchange` of the key column whose kernel keeps the
+    keys of 2..max_bucket rows (a bucketed C-kernel count — Ray's
+    sort-based per-key aggregate pays ~0.2-1 ms/key on this
+    singleton-dominated key space, the q55 lesson)."""
+
+    def count_keys(g: pd.DataFrame) -> pd.DataFrame:
+        vc = g[key_col].value_counts()
+        keep = vc[(vc >= 2) & (vc <= max_bucket)]
+        return pd.DataFrame({key_col: keep.index.to_numpy(np.int64)})
+
+    return exchange(thin, key_col, count_keys).materialize()
+
+
+def _sorted_keys(keys_ds: rd.Dataset, key_col: str) -> np.ndarray:
+    if not keys_ds.count():
+        return np.empty(0, np.int64)
+    return np.sort(keys_ds.to_pandas()[key_col].to_numpy(dtype=np.int64))
+
+
+def multi_bucket_keys(ds: rd.Dataset, key_col: str, max_bucket: int) -> np.ndarray:
     """Sorted keys of buckets with 2..max_bucket members — the thin
     count pre-pass shared by the banded candidate generators. Only the
     KEY column moves; the expensive rows (signatures / vectors) of
@@ -126,43 +157,35 @@ def multi_bucket_keys(ds: rd.Dataset, key_col: str, max_bucket: int,
     the pair shuffle at all, and stop buckets (> max_bucket) are
     dropped before moving a single payload row.
 
-    Two paths: below ``driver_merge_rows`` (metadata-only count) the
-    per-block partial ``np.unique`` counts merge on the driver — 14×
-    faster than Ray's sort-based ``aggregate(Count)``, which pays
-    ~0.2 ms PER KEY on singleton-dominated key spaces. Above it, the
-    distributed aggregate runs (the driver never holds a corpus-scale
-    partial set); on a real cluster pair this with
-    ``DataContext.shuffle_strategy = HASH_SHUFFLE``, which replaces the
-    per-key sort path. The multi-bucket key list itself is bounded by
-    the candidate volume (standard near-dup regime, candidates ≪
-    corpus), NOT by the corpus."""
+    Two paths: up to :data:`~.joins.DRIVER_MERGE_ROWS` key rows
+    (metadata-only count) the per-block partial ``np.unique`` counts
+    merge on the driver — 14× faster than Ray's sort-based
+    ``aggregate(Count)``, which pays ~0.2 ms PER KEY on
+    singleton-dominated key spaces. Above it, the distributed count
+    (:func:`_multi_bucket_key_ds`) runs, so the driver never holds a
+    corpus-scale partial set. The multi-bucket key list itself is
+    bounded by the candidate volume (standard near-dup regime,
+    candidates ≪ corpus), NOT by the corpus."""
     thin = ds.select_columns([key_col])
-    try:
-        n_rows = thin.count()
-    except Exception:
-        n_rows = None
-    if n_rows is not None and n_rows <= driver_merge_rows:
-        def partial(t: pa.Table) -> pa.Table:
-            u, c = np.unique(
-                np.asarray(t[key_col].to_pandas(), dtype=np.int64),
-                return_counts=True,
-            )
-            return pa.table(
-                {key_col: pa.array(u, type=pa.int64()),
-                 "n": pa.array(c, type=pa.int64())}
-            )
+    if thin.count() > joins.DRIVER_MERGE_ROWS:
+        return _sorted_keys(_multi_bucket_key_ds(thin, key_col, max_bucket), key_col)
 
-        parts = thin.map_batches(partial, batch_format="pyarrow").to_pandas()
-        tot = parts.groupby(key_col, sort=False)["n"].sum()
-        keys = tot.index.to_numpy(dtype=np.int64)[
-            (tot.to_numpy() >= 2) & (tot.to_numpy() <= max_bucket)
-        ]
-        return np.sort(keys)
-    from ray.data.aggregate import Count
+    def partial(t: pa.Table) -> pa.Table:
+        u, c = np.unique(
+            np.asarray(t[key_col].to_pandas(), dtype=np.int64),
+            return_counts=True,
+        )
+        return pa.table(
+            {key_col: pa.array(u, type=pa.int64()),
+             "n": pa.array(c, type=pa.int64())}
+        )
 
-    counts = thin.groupby(key_col).aggregate(Count(alias_name="n")).to_pandas()
-    m = counts[(counts["n"] >= 2) & (counts["n"] <= max_bucket)]
-    return np.sort(m[key_col].to_numpy(dtype=np.int64))
+    parts = thin.map_batches(partial, batch_format="pyarrow").to_pandas()
+    tot = parts.groupby(key_col, sort=False)["n"].sum()
+    keys = tot.index.to_numpy(dtype=np.int64)[
+        (tot.to_numpy() >= 2) & (tot.to_numpy() <= max_bucket)
+    ]
+    return np.sort(keys)
 
 
 def _keep_keys(t: pa.Table, *, key_col: str, keys_ref) -> pa.Table:
@@ -222,9 +245,7 @@ def _bucket_pairs(t: pa.Table, *, id_col: str, n_perm: int, max_bucket: int) -> 
 
 def minhash_candidates(ds: rd.Dataset, text_col: str, id_col: str,
                        n_perm: int = 64, n_bands: int = 16,
-                       max_bucket: int = 64,
-                       driver_merge_rows: int = 5_000_000,
-                       max_keys_broadcast: int = 5_000_000) -> rd.Dataset:
+                       max_bucket: int = 64) -> rd.Dataset:
     """Candidate near-dup pairs: docs sharing any LSH band bucket.
     shingle → minhash → band → bucket exchange (the guide's canonical
     shape); pairs are emitted per bucket with estimated signature
@@ -242,11 +263,10 @@ def minhash_candidates(ds: rd.Dataset, text_col: str, id_col: str,
     the corpus is a stop-shingle artifact, and emitting its O(n²) pairs
     would dominate the run without finding real near-dups)."""
     return _minhash_candidates(_spread_if_small(ds), text_col, id_col, n_perm, n_bands,
-                               max_bucket, driver_merge_rows, max_keys_broadcast)
+                               max_bucket)
 
 
-def _minhash_candidates(ds, text_col, id_col, n_perm, n_bands, max_bucket,
-                        driver_merge_rows=5_000_000, max_keys_broadcast=5_000_000):
+def _minhash_candidates(ds, text_col, id_col, n_perm, n_bands, max_bucket):
     """:func:`minhash_candidates` of an already spread ``ds``."""
     import ray
 
@@ -257,35 +277,21 @@ def _minhash_candidates(ds, text_col, id_col, n_perm, n_bands, max_bucket,
         batch_size=512,
     ).materialize()
     cand = None
-    if sigs.count() <= driver_merge_rows:
+    if sigs.count() <= joins.DRIVER_MERGE_ROWS:
         # few signature rows → the multi-bucket key list is even smaller
         # (≤ half of them): driver count-merge + broadcast stream-filter
-        keys = multi_bucket_keys(sigs, "band_key", max_bucket,
-                                 driver_merge_rows=driver_merge_rows)
+        keys = multi_bucket_keys(sigs, "band_key", max_bucket)
     else:
         # dup-heavy / corpus-scale regime (the r04-verdict failure mode
         # of "candidates << corpus"): the multi-member key set can be
         # O(corpus), so it must never collapse onto the driver.  Count
         # the keys distributed, and either broadcast the (measured-
-        # small) key array or — past the guard — semi-join the
+        # small) key array or — past MAX_KEYS_BROADCAST — semi-join the
         # signature rows against the key Dataset (one bucket exchange).
-        from .joins import hash_join
-
-        def count_keys(g: pd.DataFrame) -> pd.DataFrame:
-            # bucketed C-kernel count — Ray's sort-based per-key
-            # aggregate pays ~0.2-1 ms/key on this singleton-dominated
-            # key space (the q55 lesson)
-            vc = g["band_key"].value_counts()
-            keep = vc[(vc >= 2) & (vc <= max_bucket)]
-            return pd.DataFrame(
-                {"band_key": keep.index.to_numpy(np.int64)}
-            )
-
-        keys_ds = exchange(sigs.select_columns(["band_key"]), "band_key",
-                           count_keys).materialize()
-        n_keys = keys_ds.count()
-        if n_keys > max_keys_broadcast:
-            cand = hash_join(
+        keys_ds = _multi_bucket_key_ds(sigs.select_columns(["band_key"]),
+                                       "band_key", max_bucket)
+        if keys_ds.count() > MAX_KEYS_BROADCAST:
+            cand = joins.hash_join(
                 sigs, keys_ds, on="band_key", right_cols=[], how="semi",
                 left_fields=[pa.field(id_col, pa.int64()),
                              pa.field("band_key", pa.int64()),
@@ -293,8 +299,7 @@ def _minhash_candidates(ds, text_col, id_col, n_perm, n_bands, max_bucket,
                 right_fields=[pa.field("band_key", pa.int64())],
             )
         else:
-            keys = np.sort(keys_ds.to_pandas()["band_key"].to_numpy(dtype=np.int64)
-                           if n_keys else np.empty(0, np.int64))
+            keys = _sorted_keys(keys_ds, "band_key")
     if cand is None:  # broadcast the key array and stream-filter
         if len(keys) == 0:
             return rd.from_arrow(_CAND_SCHEMA.empty_table())
@@ -328,22 +333,24 @@ def union_find_roots(pairs: pd.DataFrame) -> dict[int, int]:
 def near_dup_groups(
     ds: rd.Dataset, text_col: str, id_col: str, threshold: float = 0.8,
     n_perm: int = 64, n_bands: int = 16, max_bucket: int = 64,
-    distribute: str = "auto", max_driver_pairs: int = 2_000_000,
-    n_buckets: int | None = None, max_posting: int | None = None,
+    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """Near-dup grouping (the flagship LLM-data operator): LSH
     candidates → word-3-gram-Jaccard verification of candidate pairs →
     connected components over verified pairs → streamed group
     assignment. The documents table itself is NEVER materialized on the
     driver. Two physical plans (r04 verdict #2), identical output
-    (equivalence-tested):
+    (equivalence-tested); the candidate pairs are materialized once and
+    counted, and up to :data:`MAX_DRIVER_PAIRS` of them run the first:
 
-    - ``distribute="broadcast"`` — the candidates << corpus regime:
+    - broadcast (:func:`_near_dup_groups_broadcast`) — the candidates
+      << corpus regime:
       candidate PAIRS, candidate GRAM-HASH SETS and the union-find
       roots are driver/broadcast state; verification is a per-pair
       array intersection against the broadcast gram dict. Fastest
       while candidate state fits in driver memory.
-    - ``distribute="shuffle"`` — the dup-heavy web-corpus regime
+    - shuffle (:func:`_near_dup_groups_shuffle`) — the dup-heavy
+      web-corpus regime
       (20-30 % near-dup rates make candidate state O(corpus)):
       nothing corpus-sized ever lands on the driver. Candidate docs
       are hash-semi-joined by id, gram-hash sets explode to thin
@@ -354,23 +361,9 @@ def near_dup_groups(
       through the distributed
       :func:`..graph.connected_components` instead of driver
       union-find.
-    - ``"auto"`` (default) materializes the candidate pairs once,
-      counts them, and picks broadcast at ≤ ``max_driver_pairs``,
-      shuffle above — the same guard pattern as tfidf/lm_score.
-
-    ``max_posting`` (shuffle plan only; same knob as
-    :func:`..corpus.jaccard_ngram_pairs`): a stop-gram shared by k
-    candidate docs emits k(k−1)/2 co-occurrence rows into ONE bucket
-    before the candidate restriction applies — on true web corpora set
-    this (e.g. 10⁴) to drop such posting lists; a capped gram only
-    lowers the measured intersection of pairs that share it, and pairs
-    sharing ONLY stop-grams are overwhelmingly non-dups.  The default
-    ``None`` keeps exact parity with the broadcast plan.
 
     Output: one row per document, (id_col, group_id); group_id is the
     minimum doc id of the group (singletons map to themselves)."""
-    if distribute not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"unknown distribute mode {distribute!r}")
 
     def singleton(t: pa.Table) -> pa.Table:
         ids = t[id_col].cast(pa.int64())
@@ -383,12 +376,9 @@ def near_dup_groups(
     n_pairs = pairs_ds.count()
     if n_pairs == 0:
         return ids_only.map_batches(singleton, batch_format="pyarrow")
-    if distribute == "shuffle" or (
-        distribute == "auto" and n_pairs > max_driver_pairs
-    ):
+    if n_pairs > MAX_DRIVER_PAIRS:
         return _near_dup_groups_shuffle(
             ds, ids_only, pairs_ds, text_col, id_col, threshold, n_buckets,
-            max_posting,
         )
     return _near_dup_groups_broadcast(
         ds, ids_only, pairs_ds, text_col, id_col, threshold
@@ -482,7 +472,7 @@ _EMPTY_DOC_GRAM = np.int64(-0x61C8864680B583EB)
 def _near_dup_groups_shuffle(
     ds: rd.Dataset, ids_only: rd.Dataset, pairs_ds: rd.Dataset,
     text_col: str, id_col: str, threshold: float,
-    n_buckets: int | None, max_posting: int | None = None,
+    n_buckets: int | None,
 ) -> rd.Dataset:
     """Fully-distributed plan — see :func:`near_dup_groups`. Exchanges:
     candidate-id dedup (thin ids), doc semi-join (one bucket exchange),
@@ -556,25 +546,8 @@ def _near_dup_groups_shuffle(
             }
         )
 
-    def posting_pairs_capped(g: pd.DataFrame) -> pd.DataFrame:
-        if max_posting is None:
-            return _posting_pairs(g, None)
-        # the reserved empty-doc gram is EXEMPT from the stop-gram cap:
-        # its posting list holds every empty candidate doc, and capping
-        # it would silently stop both-empty TRUE duplicates from
-        # verifying (jaccard 0/0 = 1.0) — not the stop-gram-non-dup
-        # case the cap is for
-        sent = g["gram"].to_numpy() == int(_EMPTY_DOC_GRAM)
-        if not sent.any():
-            return _posting_pairs(g, max_posting)
-        return pd.concat(
-            [_posting_pairs(g[~sent], max_posting),
-             _posting_pairs(g[sent], None)],
-            ignore_index=True,
-        )
-
     shared = exchange(cand_docs.map_batches(gram_rows, batch_format="pyarrow"),
-                      "gram", posting_pairs_capped, n_buckets=n_buckets)
+                      "gram", lambda g: _posting_pairs(g, None), n_buckets=n_buckets)
 
     # -- tagged union: shared-gram co-occurrence rows (side 0) + the LSH
     # candidate pairs (side 1) meet in the same pair bucket, so the

@@ -16,12 +16,12 @@ al. "Finding Connected Components in MapReduce"):
    forest union argument), and the edge count drops to the number of
    non-root nodes — for dense blocks a large contraction for free.
 2. **Driver finish** (the common case): if the contracted edge count
-   fits ``driver_cap``, pull the stars and finish with the same
+   fits :data:`DRIVER_CAP`, pull the stars and finish with the same
    vectorized min-label kernel — one dict-free exact pass; emit
    ``(node, component)`` with ``component = min node id`` of the
    component, matching the SQL min-label convention.
-3. **Distributed loop** (the 100-TB path): otherwise, iterate
-   bucket-contraction passes — route every star edge to BOTH
+3. **Distributed loop** (the 100-TB path, :func:`_components_distributed`):
+   otherwise, iterate bucket-contraction passes — route every star edge to BOTH
    endpoints' buckets with a FIXED hash seed (see ``route_both`` for
    why both choices are load-bearing), run the local CC per *bucket*
    (``groupby("__bucket").map_groups``, keys amortized per the
@@ -39,7 +39,7 @@ Partitioning assumptions (operator contract): per-bucket node count
 must fit a worker heap (size ``n_buckets`` accordingly at real scale);
 a single component may be the whole graph — its final star is
 output-sized rows, never materialized in one task (only in the
-driver-finish path, which is gated by ``driver_cap``).
+driver-finish path, which is gated by :data:`DRIVER_CAP`).
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ import ray.data as rd
 
 from ..functions.hashing import mix64 as _mix64
 from .joins import _default_buckets, exchange
+
+# contracted star edges (connected_components) / distinct edges
+# (pagerank) up to which the graph is pulled and finished on the driver
+DRIVER_CAP = 2_000_000
 
 
 def local_cc(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +100,6 @@ def connected_components(
     *,
     a: str = "a",
     b: str = "b",
-    driver_cap: int = 2_000_000,
     n_buckets: int | None = None,
     max_passes: int = 12,
 ) -> rd.Dataset:
@@ -106,7 +109,6 @@ def connected_components(
     ``(node:int64, component:int64)`` — one row per distinct endpoint,
     ``component`` = min node value of its component.
     """
-    n_buckets = n_buckets or _default_buckets()
 
     def contract_block(t: pa.Table) -> pa.Table:
         u = t[a].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -115,34 +117,39 @@ def connected_components(
         return _star_table(u[m], v[m])
 
     stars = edges.map_batches(contract_block, batch_format="pyarrow").materialize()
-    n_edges = stars.count()
+    if stars.count() > DRIVER_CAP:
+        return _components_distributed(stars, n_buckets or _default_buckets(),
+                                       max_passes)
+    import ray
 
-    if n_edges <= driver_cap:
-        import ray
+    # empty upstream blocks surface as schema-less 0-row blocks —
+    # and an empty PANDAS block (e.g. an empty map_groups bucket in
+    # the caller) skips the map UDF entirely and comes back as a
+    # DataFrame from to_arrow_refs; drop both shapes before concat
+    tabs = []
+    for t in ray.get(stars.to_arrow_refs()):
+        if isinstance(t, pd.DataFrame):
+            if not len(t):
+                continue  # schema-less empty bucket — nothing to keep
+            t = pa.Table.from_pandas(t, preserve_index=False)
+        if t.num_rows:
+            tabs.append(t)
+    tbl = pa.concat_tables(tabs) if tabs else None
+    if tbl is None or tbl.num_rows == 0:
+        return rd.from_arrow(
+            pa.table({"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())})
+        )
+    u = tbl["__u"].to_numpy().astype(np.int64)
+    v = tbl["__v"].to_numpy().astype(np.int64)
+    nodes, roots = local_cc(u, v)
+    return rd.from_arrow(pa.table({"node": nodes, "component": roots}))
 
-        # empty upstream blocks surface as schema-less 0-row blocks —
-        # and an empty PANDAS block (e.g. an empty map_groups bucket in
-        # the caller) skips the map UDF entirely and comes back as a
-        # DataFrame from to_arrow_refs; drop both shapes before concat
-        tabs = []
-        for t in ray.get(stars.to_arrow_refs()):
-            if isinstance(t, pd.DataFrame):
-                if not len(t):
-                    continue  # schema-less empty bucket — nothing to keep
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            if t.num_rows:
-                tabs.append(t)
-        tbl = pa.concat_tables(tabs) if tabs else None
-        if tbl is None or tbl.num_rows == 0:
-            return rd.from_arrow(
-                pa.table({"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())})
-            )
-        u = tbl["__u"].to_numpy().astype(np.int64)
-        v = tbl["__v"].to_numpy().astype(np.int64)
-        nodes, roots = local_cc(u, v)
-        return rd.from_arrow(pa.table({"node": nodes, "component": roots}))
 
-    # Distributed loop: alternating-side bucket contraction to fixpoint.
+def _components_distributed(stars: rd.Dataset, n_buckets: int,
+                            max_passes: int) -> rd.Dataset:
+    """Step 3 of the module recipe: alternating-side bucket contraction
+    of the star edges ``(__u, __v)`` to fixpoint."""
+
     def checksum(ds: rd.Dataset) -> int:
         def part(t: pa.Table) -> pa.Table:
             x = _mix64(t["__u"].to_numpy().astype(np.uint64), 1)
@@ -259,7 +266,6 @@ def pagerank(
     b: str = "b",
     damping: float = 0.85,
     n_iter: int = 20,
-    driver_cap: int = 2_000_000,
     n_buckets: int | None = None,
 ) -> rd.Dataset:
     """PageRank over the directed graph ``a → b`` (duplicate edges count
@@ -276,8 +282,9 @@ def pagerank(
     the operator assumes the NODE set fits one machine's memory (web
     graphs are edge-dominated ~50:1, so this is the GraphChi-style
     sweet spot); a node set beyond that needs rank sharding on top of
-    the same contribution pass.  Below ``driver_cap`` edges, the whole
-    iteration runs in one numpy kernel on the pulled edge list.
+    the same contribution pass.  Up to :data:`DRIVER_CAP` edges, the whole
+    iteration runs in one numpy kernel on the pulled edge list; past it
+    :func:`_pagerank_distributed` streams the edges each iteration.
     """
     import ray
 
@@ -308,16 +315,23 @@ def pagerank(
             pa.table({"node": pa.array([], pa.int64()), "rank": pa.array([], pa.float64())})
         )
 
-    if n_edges <= driver_cap:
-        tabs = [t for t in ray.get(dedges.to_arrow_refs()) if t.num_rows]
-        tbl = pa.concat_tables(tabs)
-        u = tbl["__u"].to_numpy().astype(np.int64)
-        v = tbl["__v"].to_numpy().astype(np.int64)
-        nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-        r = _pagerank_kernel(inv[: len(u)], inv[len(u):], len(nodes), damping, n_iter)
-        return rd.from_arrow(pa.table({"node": nodes, "rank": r}))
+    if n_edges > DRIVER_CAP:
+        return _pagerank_distributed(dedges, damping, n_iter)
+    tabs = [t for t in ray.get(dedges.to_arrow_refs()) if t.num_rows]
+    tbl = pa.concat_tables(tabs)
+    u = tbl["__u"].to_numpy().astype(np.int64)
+    v = tbl["__v"].to_numpy().astype(np.int64)
+    nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
+    r = _pagerank_kernel(inv[: len(u)], inv[len(u):], len(nodes), damping, n_iter)
+    return rd.from_arrow(pa.table({"node": nodes, "rank": r}))
 
-    # Distributed path: node vector on the driver, edges streamed.
+
+def _pagerank_distributed(dedges: rd.Dataset, damping: float,
+                          n_iter: int) -> rd.Dataset:
+    """:func:`pagerank` past :data:`DRIVER_CAP` distinct edges: the node
+    vector on the driver, the edges ``(__u, __v)`` streamed."""
+    import ray
+
     def node_partial(t: pa.Table) -> pa.Table:
         u = t["__u"].to_numpy().astype(np.int64)
         v = t["__v"].to_numpy().astype(np.int64)

@@ -163,6 +163,12 @@ def _key_for_hash(col) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False)
 
 
+# partial-aggregate rows up to which a stage merges its per-block
+# partials on the driver; past it the merge runs as an :func:`exchange`
+# (dedup's multi-bucket key counts, sketches' quantile histograms)
+DRIVER_MERGE_ROWS = 5_000_000
+
+
 def exchange(
     ds: rd.Dataset | list[rd.Dataset],
     keys: str | list[str],
@@ -1364,10 +1370,9 @@ def set_op(
         frame = pd.DataFrame({on: out})
         a_null, b_null = av.isna().any(), bv.isna().any()
         emit_null = (a_null and b_null) if op == "intersect" else (a_null and not b_null)
-        if emit_null:
-            frame = pd.concat(
-                [frame, pd.DataFrame({on: [None]})], ignore_index=True
-            )
+        if emit_null:  # one of the bucket's own null keys: same dtype
+            frame = pd.concat([frame, g.loc[g[on].isna(), [on]].iloc[:1]],
+                              ignore_index=True)
         return frame
 
     return exchange(sides, on, op_bucket, n_buckets=n_buckets)

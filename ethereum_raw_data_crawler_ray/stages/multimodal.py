@@ -6,14 +6,14 @@ reference's hex-sanitized binary handling, ``sanitizeData``,
 ``ethereum_service.go:317-325``, which is dropped — Arrow binary needs
 no escaping).
 
-The decode libraries (PIL/ffmpeg/torchaudio) are NOT in this container,
-so the codec step is STUBBED: :class:`DecodeStage` does all the real
-Ray-side work (actor-pool lifecycle, batch sizing for wide binary rows,
-schema in/out) and calls a codec hook that is either the deterministic
-fake (default — parses the fake payload header) or raises
-``NotImplementedError`` when a real codec is requested. Swapping in a
-real decoder is a one-function change; the distributed plumbing is
-exercised by tests either way.
+Compressed-media libraries (PIL/ffmpeg/torchaudio) are not
+dependencies, so the compressed-image codec step is STUBBED:
+:class:`DecodeStage` and :class:`ResizeStage` do all the real Ray-side
+work (actor-pool lifecycle, batch sizing for wide binary rows, schema
+in/out) around the deterministic fake codec (it parses the fake payload
+header). Swapping in a real decoder is a one-function change; the
+distributed plumbing is exercised by tests either way. The numpy
+PPM/WAV/Y4M codecs below are real.
 """
 
 from __future__ import annotations
@@ -75,24 +75,11 @@ def attach_blobs(ds: rd.Dataset, text_col: str, id_col: str) -> rd.Dataset:
     )
 
 
-def _import_pil():
-    """Feature-detect Pillow (r03 verdict #7): return the PIL.Image
-    module when importable, else None.  Called once per ACTOR from the
-    stage __init__s — never per batch — so the import cost and the
-    decision are paid at pool-spinup."""
-    try:
-        from PIL import Image  # noqa: PLC0415
-        return Image
-    except ImportError:
-        return None
-
-
 def _no_codec(codec: str):
     raise NotImplementedError(
-        f"codec {codec!r} requires media libraries not present in "
-        "this environment (PIL is feature-detected at actor init and "
-        "was not importable); the deterministic 'fake' codec and the "
-        "real numpy PPM/WAV codecs run everywhere"
+        f"codec {codec!r} requires media libraries this package does "
+        "not depend on; the deterministic 'fake' codec and the real "
+        "numpy PPM/WAV/Y4M codecs run everywhere"
     )
 
 
@@ -100,35 +87,13 @@ class DecodeStage:
     """map_batches actor: decode binary payloads → typed metadata
     (+ optionally a feature vector). Codec state is 'loaded' once per
     actor in __init__ — the real-codec analog would open the model /
-    library handle here.
+    library handle here; the fake codec parses the fake header
+    (deterministic, no deps)."""
 
-    codec="fake"  → parse the fake header (deterministic, no deps)
-    codec="pil"   → Pillow, feature-detected at actor init: decodes any
-                    compressed format Pillow knows (JPEG/PNG/…); raises
-                    NotImplementedError when Pillow isn't installed
-    codec="ffmpeg" / ... → NotImplementedError (not in container)
-    """
-
-    def __init__(self, codec: str = "fake", with_features: bool = False):
-        self._pil = None
-        if codec == "pil":
-            self._pil = _import_pil()
-            if self._pil is None:
-                _no_codec(codec)
-        elif codec != "fake":
-            _no_codec(codec)
-        self.codec = codec
+    def __init__(self, with_features: bool = False):
         self.with_features = with_features
 
     def _decode_one(self, blob: bytes) -> tuple[int, int, str]:
-        if self.codec == "pil":
-            import io
-
-            try:
-                with self._pil.open(io.BytesIO(blob)) as img:
-                    return int(img.width), int(img.height), (img.format or "unknown").lower()
-            except Exception:
-                return -1, -1, "unknown"
         if blob[:8] != _MAGIC or len(blob) < 16:
             # bad magic OR a truncated header (struct.unpack would
             # raise and kill the actor pool — same guard as ResizeStage)
@@ -163,15 +128,7 @@ class ResizeStage:
     + typed-metadata layout so stages compose (decode → resize →
     feature-extract)."""
 
-    def __init__(self, target_w: int, target_h: int, codec: str = "fake"):
-        self._pil = None
-        if codec == "pil":
-            self._pil = _import_pil()
-            if self._pil is None:
-                _no_codec(codec)
-        elif codec != "fake":
-            _no_codec(codec)
-        self.codec = codec
+    def __init__(self, target_w: int, target_h: int):
         self.tw, self.th = int(target_w), int(target_h)
 
     def _resize_one(self, blob: bytes) -> tuple[bytes, bool]:
@@ -179,17 +136,6 @@ class ResizeStage:
         blob through with ok=False — corrupt inputs must not kill the
         pool, but downstream must be able to filter wrong-size payloads
         instead of silently treating them as resized (ADVICE r04)."""
-        if self.codec == "pil":
-            import io
-
-            try:
-                with self._pil.open(io.BytesIO(blob)) as img:
-                    fmt = img.format or "PNG"
-                    out = io.BytesIO()
-                    img.resize((self.tw, self.th)).save(out, format=fmt)
-                    return out.getvalue(), True
-            except Exception:
-                return blob, False
         if blob[:8] != _MAGIC or len(blob) < 16:
             # bad magic OR a truncated header (magic present but fewer
             # than 16 bytes would crash struct.unpack): flag, don't kill
@@ -330,7 +276,7 @@ def decode_pipeline(ds: rd.Dataset, with_features: bool = False) -> rd.Dataset:
     rows), bounded actor pool."""
     return ds.map_batches(
         DecodeStage,
-        fn_constructor_args=("fake", with_features),
+        fn_constructor_args=(with_features,),
         batch_format="pyarrow",
         batch_size=256,  # binary payloads are wide — keep batches small
         concurrency=_pool(),
@@ -344,8 +290,7 @@ def decode_pipeline(ds: rd.Dataset, with_features: bool = False) -> rd.Dataset:
 def encode_ppm(img: np.ndarray) -> bytes:
     """(h, w, 3) uint8 → binary PPM (P6).  A real, widely-readable image
     format that needs no media library — this makes the decode path
-    REAL end-to-end; PIL/ffmpeg codecs for compressed formats remain
-    stubbed (not in the container)."""
+    REAL end-to-end; compressed formats remain stubbed."""
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError(f"expected (h, w, 3) uint8, got {img.shape} {img.dtype}")
     h, w, _ = img.shape

@@ -32,21 +32,33 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from . import joins
 from .joins import exchange
 
 
 # ==========================================================================
 # exact distributed quantiles (two-pass histogram refinement)
 # ==========================================================================
-def _sparse_histogram(ds: rd.Dataset, col: str, scale: int, n_hist: int,
-                      driver_merge_rows: int):
+def _merge_counts(partials: rd.Dataset, keys: list[str]) -> pd.DataFrame:
+    """Sum the per-batch partial counts ``n`` by ``keys``, sorted by
+    ``keys``: on the driver up to :data:`~.joins.DRIVER_MERGE_ROWS`
+    partial rows (the sort exchange alone would cost more), through a
+    hash-bucketed :func:`~.joins.exchange` combine above it."""
+    if partials.count() > joins.DRIVER_MERGE_ROWS:
+        partials = exchange(
+            partials, keys,
+            lambda g: g.groupby(keys, sort=False)["n"].sum().reset_index(),
+        )
+    return partials.to_pandas().groupby(keys, sort=True)["n"].sum().reset_index()
+
+
+def _sparse_histogram(ds: rd.Dataset, col: str, scale: int, n_hist: int):
     """Shared pass 1 of the exact-quantile family: fixed-point sparse
     histogram of the NON-NULL values of ``ds[col]`` (SQL quantiles
     ignore NULLs).  → (h: DataFrame(bucket, n) sorted, cum, n_rows,
     lo_c, width); n_rows == 0 signals an empty/all-null column.
-    Partial histograms (≤ n_hist rows per batch) merge on the driver
-    below ``driver_merge_rows`` — the sort exchange alone would cost
-    more — and through a hash-bucketed combine above it."""
+    Partial histograms (≤ n_hist rows per batch) merge through
+    :func:`_merge_counts`."""
     lohi = ds.map_batches(
         lambda t: pa.table(
             {
@@ -73,14 +85,7 @@ def _sparse_histogram(ds: rd.Dataset, col: str, scale: int, n_hist: int,
         )
 
     partials = ds.map_batches(hist, batch_format="pyarrow").materialize()
-    if partials.count() <= driver_merge_rows:
-        hp = partials.to_pandas()
-    else:
-        hp = exchange(
-            partials, "bucket",
-            lambda g: g.groupby("bucket", sort=False)["n"].sum().reset_index(),
-        ).to_pandas()
-    h = hp.groupby("bucket", sort=True)["n"].sum().reset_index()
+    h = _merge_counts(partials, ["bucket"])
     cum = h["n"].cumsum().to_numpy()
     return h, cum, int(cum[-1]) if len(cum) else 0, lo_c, width
 
@@ -109,7 +114,6 @@ def exact_quantiles(
     scale: int = 100,
     n_hist: int = 1 << 16,
     max_fetch: int = 50_000_000,
-    driver_merge_rows: int = 5_000_000,
 ) -> pd.DataFrame:
     """Exact ``quantile_disc`` values of ``ds[col]`` for each q in
     ``qs`` (the element at 0-based index max(0, ceil(q·n)−1) of the
@@ -120,9 +124,7 @@ def exact_quantiles(
     linear passes, no global sort: the only wide op is a groupby over at
     most ``n_hist`` distinct bucket ids.
     """
-    h, cum, n, lo_c, width = _sparse_histogram(
-        ds, col, scale, n_hist, driver_merge_rows
-    )
+    h, cum, n, lo_c, width = _sparse_histogram(ds, col, scale, n_hist)
     if n == 0:
         return pd.DataFrame({"q": list(qs), "value": np.nan})
     buckets = h["bucket"].to_numpy()
@@ -170,7 +172,6 @@ def exact_quantiles_cont(
     scale: int = 100,
     n_hist: int = 1 << 16,
     max_fetch: int = 50_000_000,
-    driver_merge_rows: int = 5_000_000,
 ) -> pd.DataFrame:
     """Exact CONTINUOUS (interpolated) quantiles — the quantile_cont
     rule: position p = q·(n−1); interpolate lower + (upper − lower)·
@@ -186,9 +187,7 @@ def exact_quantiles_cont(
     instead of calling quantile_cont; identical double ops in the same
     order are bit-equal, and ROUND(…, 6) is applied to bit-equal
     inputs on both sides."""
-    h, cum, n, lo_c, width = _sparse_histogram(
-        ds, col, scale, n_hist, driver_merge_rows
-    )
+    h, cum, n, lo_c, width = _sparse_histogram(ds, col, scale, n_hist)
     if n == 0:
         return pd.DataFrame({"q": list(qs), "value": np.nan})
     buckets = h["bucket"].to_numpy()
@@ -239,7 +238,6 @@ def grouped_quantiles(
     *,
     scale: int = 100,
     n_hist: int = 1 << 16,
-    driver_merge_rows: int = 5_000_000,
 ) -> pd.DataFrame:
     """Per-group exact ``quantile_disc``: the same two-pass histogram
     refinement as :func:`exact_quantiles`, with (group, bucket) keys.
@@ -278,23 +276,10 @@ def grouped_quantiles(
         out = df.groupby(["g", "bucket"], sort=False).size().reset_index(name="n")
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    # two-path partial-histogram merge (same rationale as
-    # exact_quantiles: the sort exchange costs more than the merged
-    # histogram; the (g, bucket) key space is additionally singleton-
-    # dominated, where Ray's sort aggregate pays per-KEY overhead)
+    # the (g, bucket) key space is singleton-dominated, where Ray's
+    # sort aggregate pays per-KEY overhead: merge like exact_quantiles
     partials = ds.map_batches(hist, batch_format="pyarrow").materialize()
-    if partials.count() <= driver_merge_rows:
-        hp = partials.to_pandas()
-    else:
-        hp = exchange(
-            partials, ["g", "bucket"],
-            lambda f: f.groupby(["g", "bucket"], sort=False)["n"]
-            .sum().reset_index(),
-        ).to_pandas()
-    h = (
-        hp.groupby(["g", "bucket"], sort=True)["n"].sum().reset_index()
-        .sort_values(["g", "bucket"])
-    )
+    h = _merge_counts(partials, ["g", "bucket"])
 
     # per group: locate each quantile's target bucket
     wants: list[tuple[object, float, int, int, int]] = []  # (g, q, k, bucket, before)
@@ -352,7 +337,6 @@ def grouped_quantiles_cont(
     *,
     scale: int = 100,
     n_hist: int = 1 << 16,
-    driver_merge_rows: int = 5_000_000,
 ) -> pd.DataFrame:
     """Per-group CONTINUOUS (interpolated) quantiles — quantile_cont's
     p = q·(n_g−1) rule per group, interpolating lower + (upper −
@@ -393,18 +377,7 @@ def grouped_quantiles_cont(
         return pa.Table.from_pandas(out, preserve_index=False)
 
     partials = ds.map_batches(hist, batch_format="pyarrow").materialize()
-    if partials.count() <= driver_merge_rows:
-        hp = partials.to_pandas()
-    else:
-        hp = exchange(
-            partials, ["g", "bucket"],
-            lambda f: f.groupby(["g", "bucket"], sort=False)["n"]
-            .sum().reset_index(),
-        ).to_pandas()
-    h = (
-        hp.groupby(["g", "bucket"], sort=True)["n"].sum().reset_index()
-        .sort_values(["g", "bucket"])
-    )
+    h = _merge_counts(partials, ["g", "bucket"])
 
     # per group: the two neighbor ranks of each quantile + their buckets
     plan = []  # (g, q, r_lo, r_hi, frac)
@@ -1471,8 +1444,7 @@ def grouped_weighted_stats(ds: rd.Dataset, group: str, val: str,
 
 def _order_stats_cents(ds: rd.Dataset, col: str, scale: int,
                        rank_fn, n_hist: int = 1 << 16,
-                       max_fetch: int = 50_000_000,
-                       driver_merge_rows: int = 5_000_000):
+                       max_fetch: int = 50_000_000):
     """Exact fixed-point order statistics: run the two-pass sparse-
     histogram plan and return ({0-based rank: exact scaled int}, n)
     for the ranks ``rank_fn(n)`` requests.  Shared by the MAD composite
@@ -1482,8 +1454,7 @@ def _order_stats_cents(ds: rd.Dataset, col: str, scale: int,
     (half-to-even); for DuckDB ROUND parity feed pre-rounded INTEGRAL
     floats at scale=1 (np.round is exact on integers) — mad_exact
     does."""
-    h, cum, n, lo_c, width = _sparse_histogram(
-        ds, col, scale, n_hist, driver_merge_rows)
+    h, cum, n, lo_c, width = _sparse_histogram(ds, col, scale, n_hist)
     if n == 0:
         return {}, 0
     ranks = sorted(set(rank_fn(n)))
@@ -1697,7 +1668,7 @@ def ratio_to_report(ds: rd.Dataset, group: str, val: str,
         return pa.table(
             {
                 **{c: t[c] for c in id_cols},
-                group: t[group],
+                group: t[group].cast(gtype),  # an all-null block reads 'null'
                 "val_sc": pa.array(x),
                 "group_total": pa.array(tot),
                 "share": pa.array(x.astype(np.float64) / ftot),

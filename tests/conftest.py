@@ -44,3 +44,24 @@ def corpus_dir():
 @pytest.fixture(scope="session")
 def sf_dir():
     return "/root/testdata/sf0.001"
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` wraps ``module.name`` for the test and
+    returns the list it appends each call's ``(args, kwargs)`` to; the
+    wrapped function still runs. Plan tests use it to check which plan
+    a guard picked."""
+
+    def install(module, name: str) -> list:
+        calls: list = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install

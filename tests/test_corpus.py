@@ -3,16 +3,16 @@
 Oracle parity for q52-q56 is covered by tests/test_queries.py's
 check_all sweep; these pin the properties the oracles can't see —
 conservation laws, the stop-gram cap's candidate-subset semantics, the
-vocabulary-broadcast guard, and the singleton-key drop rule.
+plan each model-size guard picks, and the singleton-key drop rule.
 """
 
 import os
 
 import numpy as np
-import pytest
 import ray.data as rd
 
 from ethereum_raw_data_crawler_ray.pipelines.oracle_check import to_pandas
+from ethereum_raw_data_crawler_ray.stages import corpus
 from ethereum_raw_data_crawler_ray.stages.corpus import (
     inverted_index,
     jaccard_ngram_pairs,
@@ -51,28 +51,26 @@ class TestTfidf:
         expect = out["tf"].to_numpy(np.float64) * (n / out["df"].to_numpy(np.float64))
         assert (out["score"].to_numpy() == expect).all()
 
-    def test_vocab_broadcast_guard(self, sf_dir, ray_session):
-        # forcing broadcast past the guard still raises …
-        with pytest.raises(ValueError, match="max_vocab_broadcast"):
-            to_pandas(tfidf_topk(_docs(sf_dir), k=3, max_vocab_broadcast=2,
-                                 distribute="broadcast"))
-
-    def test_shuffle_path_bit_identical(self, sf_dir, ray_session):
-        # … while auto falls back to the shuffle join (r03 verdict #3),
-        # and broadcast / shuffle / auto-fallback all agree bit-for-bit
-        # (same per-row float expression on both paths)
-        def run(**kw):
+    def test_shuffle_path_bit_identical(self, sf_dir, ray_session,
+                                        monkeypatch, spy):
+        # past MAX_VOCAB_BROADCAST the shuffle join runs (r03 verdict
+        # #3), and it agrees with the broadcast plan bit-for-bit (same
+        # per-row float expression on both paths)
+        def run():
             return (
-                to_pandas(tfidf_topk(_docs(sf_dir), k=3, **kw))
+                to_pandas(tfidf_topk(_docs(sf_dir), k=3))
                 .sort_values(["doc_id", "rnk"])
                 .reset_index(drop=True)
             )
 
+        shuffle = spy(corpus, "_tfidf_topk_shuffle")
         b = run()
-        s = run(distribute="shuffle")
-        a = run(max_vocab_broadcast=2)  # auto → over guard → shuffle
-        assert list(b.columns) == list(s.columns) == list(a.columns)
-        assert b.equals(s) and b.equals(a)
+        assert not shuffle
+        monkeypatch.setattr(corpus, "MAX_VOCAB_BROADCAST", 2)
+        s = run()
+        assert len(shuffle) == 1
+        assert list(b.columns) == list(s.columns)
+        assert b.equals(s)
         assert len(b) > 0
 
 
@@ -190,37 +188,28 @@ class TestLmScore:
         assert one.loc[0, "n_bigrams"] == 0 and one.loc[0, "avg_logp"] == 0.0
         assert one.loc[1, "n_bigrams"] == 1 and one.loc[1, "avg_logp"] < 0.0
 
-    def test_model_broadcast_guard(self, sf_dir, ray_session):
-        import pytest as _pytest
-
-        from ethereum_raw_data_crawler_ray.stages.corpus import lm_score
-
-        docs = _docs(sf_dir)
-        with _pytest.raises(ValueError, match="max_model_broadcast"):
-            lm_score(docs, docs, max_model_broadcast=2,
-                     distribute="broadcast").to_pandas()
-
-    def test_shuffle_path_matches_broadcast(self, sf_dir, ray_session):
-        from ethereum_raw_data_crawler_ray.stages.corpus import lm_score
-
-        def run(**kw):
+    def test_shuffle_path_matches_broadcast(self, sf_dir, ray_session,
+                                            monkeypatch, spy):
+        def run():
             return (
-                lm_score(_docs(sf_dir), _docs(sf_dir), **kw)
+                corpus.lm_score(_docs(sf_dir), _docs(sf_dir))
                 .to_pandas()
                 .sort_values("doc_id")
                 .reset_index(drop=True)
             )
 
+        shuffle = spy(corpus, "_lm_score_shuffle")
         b = run()
-        s = run(distribute="shuffle")
-        a = run(max_model_broadcast=2)  # auto → over guard → shuffle
-        assert (b["doc_id"] == s["doc_id"]).all() and (b["doc_id"] == a["doc_id"]).all()
+        assert not shuffle
+        # past MAX_MODEL_BROADCAST model rows the shuffle join runs
+        monkeypatch.setattr(corpus, "MAX_MODEL_BROADCAST", 2)
+        s = run()
+        assert len(shuffle) == 1
+        assert (b["doc_id"] == s["doc_id"]).all()
         assert (b["n_bigrams"] == s["n_bigrams"]).all()
-        assert (b["n_bigrams"] == a["n_bigrams"]).all()
         # the shuffle path groups equal bigrams before the log, so the
         # sum associates differently — equal to roundoff, not bit-exact
         np.testing.assert_allclose(b["avg_logp"], s["avg_logp"], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(b["avg_logp"], a["avg_logp"], rtol=1e-12, atol=1e-12)
 
 
 class TestKeyedGapsStringKeys:

@@ -48,7 +48,7 @@ class TestNearDupGroups:
         frac_singleton = (uniq["group_id"] == uniq["doc_id"]).mean()
         assert frac_singleton > 0.99
 
-    def test_shuffle_plan_equivalent_to_broadcast(self, ray_session):
+    def test_shuffle_plan_equivalent_to_broadcast(self, ray_session, monkeypatch, spy):
         # r04 verdict #2: the fully-distributed plan (semi-join +
         # inverted-gram count join + distributed connected components)
         # must match the driver/broadcast plan EXACTLY — including
@@ -72,23 +72,24 @@ class TestNearDupGroups:
         empties = pd.DataFrame({"doc_id": [9101, 9102], "text": ["", ""]})
         docs = pd.concat([docs, extra, empties], ignore_index=True)
         ds = rd.from_pandas(docs).repartition(8)
-        kw = dict(threshold=0.5, n_perm=64, n_bands=16)
-        a = dedup.near_dup_groups(
-            ds, "text", "doc_id", distribute="broadcast", **kw
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        b = dedup.near_dup_groups(
-            ds, "text", "doc_id", distribute="shuffle", **kw
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+        def groups():
+            return dedup.near_dup_groups(
+                ds, "text", "doc_id", threshold=0.5, n_perm=64, n_bands=16
+            ).to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+        bcast = spy(dedup, "_near_dup_groups_broadcast")
+        shuffle = spy(dedup, "_near_dup_groups_shuffle")
+        a = groups()
+        assert (len(bcast), len(shuffle)) == (1, 0)
+        # past MAX_DRIVER_PAIRS candidate pairs the shuffle plan runs
+        monkeypatch.setattr(dedup, "MAX_DRIVER_PAIRS", 0)
+        b = groups()
+        assert (len(bcast), len(shuffle)) == (1, 1)
         pd.testing.assert_frame_equal(a, b)
         g = dict(zip(a["doc_id"], a["group_id"]))
         assert g[9101] == g[9102]  # both-empty pair verified
         assert g[2] == g[3] == 2  # a planted near-dup pair survived
-        # auto picks the shuffle plan past the pair guard — same output
-        c = dedup.near_dup_groups(
-            ds, "text", "doc_id", distribute="auto", max_driver_pairs=1,
-            **kw
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, c)
 
     def test_no_candidates_all_singletons(self, ray_session):
         docs = pd.DataFrame(
@@ -280,24 +281,51 @@ class TestParagraphDedup:
 
 
 class TestMinhashCandidatePaths:
-    def test_three_key_paths_equivalent(self, ray_session):
+    def test_three_key_paths_equivalent(self, ray_session, monkeypatch, spy):
         # the multi-bucket key set must never be forced through the
         # driver on dup-heavy corpora: driver count-merge + broadcast
         # (default), distributed count + broadcast, and distributed
         # count + semi-join must all emit the SAME candidate pairs
+        from ethereum_raw_data_crawler_ray.stages import joins
+
         docs = _mk_docs(1_500, 12)
         ds = rd.from_pandas(docs).repartition(6)
+        exchanges = spy(dedup, "exchange")
+        semi = spy(joins, "hash_join")
 
-        def pairs(**kw):
-            out = dedup.minhash_candidates(ds, "text", "doc_id", **kw)
+        def pairs():
+            out = dedup.minhash_candidates(ds, "text", "doc_id")
             df = out.to_pandas().drop_duplicates(["id_a", "id_b"])
             return sorted(map(tuple, df[["id_a", "id_b"]].to_numpy()))
 
-        a = pairs()
-        b = pairs(driver_merge_rows=0)                      # distributed count
-        c = pairs(driver_merge_rows=0, max_keys_broadcast=0)  # semi-join keys
+        a = pairs()  # one exchange: the bucket pairs
+        assert (len(exchanges), len(semi)) == (1, 0)
+        monkeypatch.setattr(joins, "DRIVER_MERGE_ROWS", 0)
+        b = pairs()  # + the distributed key count
+        assert (len(exchanges), len(semi)) == (3, 0)
+        monkeypatch.setattr(dedup, "MAX_KEYS_BROADCAST", 0)
+        c = pairs()  # + the semi-join of the signatures on the keys
+        assert (len(exchanges), len(semi)) == (5, 1)
         assert a == b == c
         assert len(a) >= 12  # the planted near-dup pairs are all there
+
+    def test_multi_bucket_keys_exchange_count(self, ray_session, monkeypatch, spy):
+        # past DRIVER_MERGE_ROWS key rows the count runs as an exchange
+        # (simhash_pairs' pre-pass): the same keys as the driver merge
+        from ethereum_raw_data_crawler_ray.stages import joins
+
+        # key k has 1 row, +1 if even, +70 if a multiple of 5
+        keys = np.r_[np.arange(50), np.arange(0, 50, 2),
+                     np.arange(0, 50, 5).repeat(70)]
+        ds = rd.from_arrow(pa.table({"k": keys})).repartition(4)
+        distributed = spy(dedup, "_multi_bucket_key_ds")
+        a = dedup.multi_bucket_keys(ds, "k", max_bucket=64)
+        assert not distributed
+        monkeypatch.setattr(joins, "DRIVER_MERGE_ROWS", 0)
+        b = dedup.multi_bucket_keys(ds, "k", max_bucket=64)
+        assert len(distributed) == 1
+        # 2..64 rows: the even keys that are not stop buckets
+        assert a.tolist() == b.tolist() == [k for k in range(0, 50, 2) if k % 5]
 
 
 def _reference_bucket_pairs(df: pd.DataFrame, max_bucket: int) -> pd.DataFrame:

@@ -294,74 +294,6 @@ class TestRedactPII:
         assert out["redacted"] == "x [EMAIL] y"
 
 
-class TestPilFeatureDetect:
-    """PIL is feature-detected once per actor init (r03 verdict #7):
-    with Pillow installed codec='pil' decodes/resizes real compressed
-    images; without it the constructor raises the fail-loud stub.
-    Exactly one of the two tests runs in any environment."""
-
-    @staticmethod
-    def _has_pil():
-        try:
-            import PIL  # noqa: F401
-            return True
-        except ImportError:
-            return False
-
-    def test_pil_decode_and_resize(self, ray_session):
-        import pytest as _pytest
-
-        _pytest.importorskip("PIL")
-        import io
-
-        import numpy as np
-        import pyarrow as pa
-        import ray.data as rd
-        from PIL import Image
-
-        from ethereum_raw_data_crawler_ray.stages.multimodal import (
-            DecodeStage,
-            ResizeStage,
-        )
-
-        def png(w, h):
-            img = Image.fromarray(
-                np.arange(w * h * 3, dtype=np.uint8).reshape(h, w, 3) % 255
-            )
-            b = io.BytesIO()
-            img.save(b, format="PNG")
-            return b.getvalue()
-
-        t = pa.table({"doc_id": pa.array([1, 2], type=pa.int64()),
-                      "blob": pa.array([png(8, 6), png(16, 4)], type=pa.binary())})
-        dec = DecodeStage(codec="pil")(t).to_pandas()
-        assert list(zip(dec.width, dec.height, dec.format)) == [
-            (8, 6, "png"), (16, 4, "png")]
-        rs = ResizeStage(4, 4, codec="pil")(t)
-        dec2 = DecodeStage(codec="pil")(rs).to_pandas()
-        assert list(zip(dec2.width, dec2.height)) == [(4, 4), (4, 4)]
-        # still runs as a distributed actor-pool stage
-        ds = rd.from_arrow(t).map_batches(
-            DecodeStage, fn_constructor_kwargs=dict(codec="pil"),
-            batch_format="pyarrow", concurrency=(1, 2))
-        assert sorted(ds.to_pandas()["width"]) == [8, 16]
-
-    def test_stub_raises_without_pil(self):
-        import pytest as _pytest
-
-        if self._has_pil():
-            _pytest.skip("Pillow installed — stub branch unreachable")
-        from ethereum_raw_data_crawler_ray.stages.multimodal import (
-            DecodeStage,
-            ResizeStage,
-        )
-
-        with _pytest.raises(NotImplementedError, match="feature-detected"):
-            DecodeStage(codec="pil")
-        with _pytest.raises(NotImplementedError, match="feature-detected"):
-            ResizeStage(4, 4, codec="pil")
-
-
 class TestResizeFailureFlag:
     """ADVICE r04: a decode/resize failure must pass the original blob
     through WITH a signal — resize_ok=False and untouched dims — so

@@ -1,6 +1,6 @@
 """Connected-components operator: the driver-finish path is pinned by
 the q64 oracle sweep (test_queries); these pin the DISTRIBUTED path
-(driver_cap=0 forces dual-routed bucket contraction to fixpoint) against
+(DRIVER_CAP=0 forces dual-routed bucket contraction to fixpoint) against
 the exact local kernel on adversarial shapes — long chains that span
 blocks and buckets, stars, duplicate/reversed edges, self-loops."""
 
@@ -10,6 +10,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from ethereum_raw_data_crawler_ray.stages import graph
 from ethereum_raw_data_crawler_ray.stages.graph import connected_components, local_cc
 
 
@@ -60,21 +61,30 @@ def test_driver_path_matches_kernel(ray_session):
     assert _run(u, v) == exp
 
 
-def test_distributed_path_matches_kernel(ray_session):
+def _force_distributed(monkeypatch, spy, plan: str) -> list:
+    monkeypatch.setattr(graph, "DRIVER_CAP", 0)
+    return spy(graph, plan)
+
+
+def test_distributed_path_matches_kernel(ray_session, monkeypatch, spy):
     rng = np.random.default_rng(11)
     u, v = _graph_cases(rng)
     exp = _expected(u[u != v], v[u != v])
-    got = _run(u, v, driver_cap=0, n_buckets=5, max_passes=24)
+    ran = _force_distributed(monkeypatch, spy, "_components_distributed")
+    got = _run(u, v, n_buckets=5, max_passes=24)
+    assert len(ran) == 1
     assert got == exp
 
 
-def test_distributed_equals_driver_on_random(ray_session):
+def test_distributed_equals_driver_on_random(ray_session, monkeypatch, spy):
     rng = np.random.default_rng(3)
     u = rng.integers(0, 4000, 6000).astype(np.int64)
     v = rng.integers(0, 4000, 6000).astype(np.int64)
     m = u != v
     exp = _expected(u[m], v[m])
-    got = _run(u, v, driver_cap=0, n_buckets=7, max_passes=24)
+    ran = _force_distributed(monkeypatch, spy, "_components_distributed")
+    got = _run(u, v, n_buckets=7, max_passes=24)
+    assert len(ran) == 1
     assert got == exp
 
 
@@ -123,18 +133,14 @@ def test_pagerank_driver_path_properties(ray_session):
     assert (sinks > 0.15 / len(nodes)).all()
 
 
-def test_pagerank_distributed_equals_driver(ray_session):
-    from ethereum_raw_data_crawler_ray.stages.graph import pagerank
-
+def test_pagerank_distributed_equals_driver(ray_session, monkeypatch, spy):
     rng = np.random.default_rng(23)
     u, v = _pr_edges(rng)
     edges = rd.from_arrow(pa.table({"a": u, "b": v})).repartition(6)
-    drv = pagerank(edges, n_iter=6).to_pandas().sort_values("node")
-    dist = (
-        pagerank(edges, n_iter=6, driver_cap=0, n_buckets=5)
-        .to_pandas()
-        .sort_values("node")
-    )
+    drv = graph.pagerank(edges, n_iter=6).to_pandas().sort_values("node")
+    ran = _force_distributed(monkeypatch, spy, "_pagerank_distributed")
+    dist = graph.pagerank(edges, n_iter=6, n_buckets=5).to_pandas().sort_values("node")
+    assert len(ran) == 1
     assert (drv["node"].to_numpy() == dist["node"].to_numpy()).all()
     np.testing.assert_allclose(
         drv["rank"].to_numpy(), dist["rank"].to_numpy(), rtol=1e-9

@@ -508,6 +508,7 @@ def test_running_sum_half_away_rounding(ray_session):
     assert out["running_cents"].tolist() == [13, 0, 38, 235]
 
 
+@pytest.mark.filterwarnings("error::FutureWarning")
 def test_set_op_null_keys_sql_semantics(ray_session):
     """SQL set ops treat NULLs as equal: NULL∈both → INTERSECT emits it;
     EXCEPT drops it iff the right side also has one."""

@@ -136,16 +136,20 @@ class TestRowsOnly:
         assert (df["y_mean"] >= 0).all() and (df["y_mean"] <= 255).all()
 
     def test_multimodal_real_codec_stubbed(self):
+        # the image stages run the fake codec only; frame sampling also
+        # demuxes y4m and fails loudly on any other codec
         from ethereum_raw_data_crawler_ray.stages.multimodal import (
             DecodeStage,
             FrameSampleStage,
             ResizeStage,
         )
 
-        for cls, args in ((DecodeStage, ()), (ResizeStage, (32, 32)),
-                          (FrameSampleStage, (256, 4, 8))):
-            with pytest.raises(NotImplementedError):
+        for cls, args in ((DecodeStage, ()), (ResizeStage, (32, 32))):
+            with pytest.raises(TypeError):
                 cls(*args, codec="pil")
+        for codec in ("pil", "ffmpeg"):
+            with pytest.raises(NotImplementedError):
+                FrameSampleStage(256, 4, 8, codec=codec)
 
 
 def test_entry_contract(ray_session):
@@ -251,17 +255,24 @@ class TestNewRowsOnlyRegistry:
 
 
 def test_dim_attach_join_fallback_matches_oracle(sf_dir, ray_session,
-                                                 monkeypatch):
+                                                 monkeypatch, spy):
     # r04 verdict #6: past MAX_DIM_BROADCAST rows the dimension attach
     # must switch from the dense-array broadcast to the bucketed
     # hash_join — same oracle answers, same dtypes, either plan
     from ethereum_raw_data_crawler_ray.pipelines import queries as q
+    from ethereum_raw_data_crawler_ray.stages import joins
 
     names = ["q10_revenue_by_nation", "q19_region_rollup",
              "q124_revenue_by_brand"]
+    dense = spy(q, "_dense_lookup")
+    dim_joins = spy(joins, "hash_join")
     assert not any(check_all(sf_dir, only=names, strict_dtypes=True).values())
+    n_dense, n_joins = len(dense), len(dim_joins)
+    assert n_dense > 0
     monkeypatch.setattr(q, "MAX_DIM_BROADCAST", 0)
     assert not any(check_all(sf_dir, only=names, strict_dtypes=True).values())
+    assert len(dense) == n_dense  # no dense broadcast ran …
+    assert len(dim_joins) == 2 * n_joins + n_dense  # … a hash_join each
 
 
 def test_q111_type_without_k_sums_to_null(tmp_path, ray_session):

@@ -218,29 +218,34 @@ class TestPivot:
 
 
 class TestQuantileMergeFallback:
-    def test_distributed_combine_matches_driver_merge(self, sf_dir, ray_session):
-        """Forcing the partial-histogram merge onto the distributed
-        bucketed-combine path (driver_merge_rows=0) must give exactly the
+    def test_distributed_combine_matches_driver_merge(self, sf_dir, ray_session,
+                                                      monkeypatch, spy):
+        """Past DRIVER_MERGE_ROWS partial rows the partial-histogram
+        merge runs as a bucketed exchange, and it gives exactly the
         driver-merge result — global and grouped."""
         import os
 
         import ray.data as rd
 
-        from ethereum_raw_data_crawler_ray.stages.sketches import (
-            exact_quantiles,
-            grouped_quantiles,
-        )
+        from ethereum_raw_data_crawler_ray.stages import joins, sketches
 
         ds = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_totalprice", "o_orderstatus"])
-        a = exact_quantiles(ds, "o_totalprice", [0.25, 0.9])
-        b = exact_quantiles(ds, "o_totalprice", [0.25, 0.9], driver_merge_rows=0)
+
+        def both():
+            flat = sketches.exact_quantiles(ds, "o_totalprice", [0.25, 0.9])
+            grouped = sketches.grouped_quantiles(
+                ds, "o_orderstatus", "o_totalprice", [0.5])
+            return flat, grouped.sort_values(["o_orderstatus", "q"]).reset_index(drop=True)
+
+        exchanges = spy(sketches, "exchange")
+        a, ga = both()
+        assert not exchanges
+        monkeypatch.setattr(joins, "DRIVER_MERGE_ROWS", 0)
+        b, gb = both()
+        assert len(exchanges) == 2
         assert a.equals(b)
-        ga = grouped_quantiles(ds, "o_orderstatus", "o_totalprice", [0.5])
-        gb = grouped_quantiles(ds, "o_orderstatus", "o_totalprice", [0.5],
-                               driver_merge_rows=0)
-        sort = lambda d: d.sort_values(["o_orderstatus", "q"]).reset_index(drop=True)
-        assert sort(ga).equals(sort(gb))
+        assert ga.equals(gb)
 
 
 def test_hll_grouped_error_bound(sf_dir, ray_session):
@@ -1191,6 +1196,7 @@ def test_regression_grouped_per_row_product_past_int64(ray_session):
     assert out.loc[0, "slope"] == float(num) / float(denx)
 
 
+@pytest.mark.filterwarnings("error::FutureWarning")
 def test_ratio_to_report_nullable_int_group_across_blocks(ray_session):
     # nullable NUMERIC group: every block renders its own NaN object —
     # the totals merge must fold them into ONE null partition
