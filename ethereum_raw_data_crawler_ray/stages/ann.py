@@ -22,6 +22,7 @@ Four paths, cheapest-exact to scale-ready:
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
@@ -40,9 +41,6 @@ def hash_sample(ds: rd.Dataset, id_col: str, n_target: int, seed: int) -> "pd.Da
     whose mixed id hash falls under a threshold derived from the table
     size. Replaces round 1's ``ds.limit(n)`` ("first N rows"), which on
     a sorted/clustered corpus trains biased centroids."""
-    import pandas as pd
-
-
     n = ds.count()
     if n <= n_target:
         return ds.to_pandas()
@@ -93,7 +91,6 @@ def knn_bruteforce(ds: rd.Dataset, queries: np.ndarray, k: int = 10) -> rd.Datas
     """Exact top-k by cosine for each query row. Result: (query_id,
     vec_id, cosine, rank), rank 0-based, ties broken by vec_id."""
     import ray
-    import pandas as pd
 
     q_ref = ray.put(_normalize(np.asarray(queries, dtype=np.float32)))
     partials = ds.map_batches(
@@ -103,13 +100,22 @@ def knn_bruteforce(ds: rd.Dataset, queries: np.ndarray, k: int = 10) -> rd.Datas
         batch_size=4096,
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype=np.int64)
-        return g
+    return _merge_topk(partials, k)
 
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+
+def _topk(g: pd.DataFrame, k: int) -> pd.DataFrame:
+    """One query's k best partial rows (cosine desc, vec_id asc), ranked."""
+    g = g.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
+    g = g.reset_index(drop=True)
+    g["rank"] = np.arange(len(g), dtype=np.int64)
+    return g
+
+
+def _merge_topk(partials: rd.Dataset, k: int) -> rd.Dataset:
+    """The final merge of every kNN path: per-batch partial top-k rows →
+    the global top-k per ``query_id``."""
+    return partials.groupby("query_id").map_groups(
+        _topk, fn_kwargs={"k": k}, batch_format="pandas")
 
 
 def _bucket_of(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -249,7 +255,6 @@ def knn_ivf(
     partition column so probing prunes at the READ (Parquet filter), not
     per batch; this streaming variant keeps the same math."""
     import ray
-    import pandas as pd
 
     qn = _normalize(np.asarray(queries, dtype=np.float32))
     sample = hash_sample(ds, "vec_id", train_sample, seed)
@@ -265,13 +270,7 @@ def knn_ivf(
         concurrency=_pool(),
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_topk(partials, k)
 
 
 def build_ivf_index(
@@ -327,7 +326,6 @@ def knn_ivf_indexed(
     exact-rescore candidates per query within its own probe set."""
     import os
 
-    import pandas as pd
     import ray
 
     cent = np.load(os.path.join(index_dir, "centroids.npy"))
@@ -403,13 +401,7 @@ def knn_ivf_indexed(
         _StoredCellTopK, batch_format="pyarrow", batch_size=4096, concurrency=_pool()
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_topk(partials, k)
 
 
 def knn_lsh(
@@ -429,7 +421,6 @@ def knn_lsh(
     :func:`knn_ivf` / :func:`knn_ivf_indexed` for such corpora; this
     exists for the high-cosine near-dup regime."""
     import ray
-    import pandas as pd
 
     qn = _normalize(np.asarray(queries, dtype=np.float32))
     rng = np.random.default_rng(seed)
@@ -444,13 +435,7 @@ def knn_lsh(
         concurrency=_pool(),
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_topk(partials, k)
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +488,6 @@ def grouped_centroids(
     Returns (group, pos 1-based, sum_sc, n, centroid_sc =
     sum_sc/n, i.e. the mean in fixed-point units), (group, pos)-sorted.
     """
-    import pandas as pd
     import pyarrow.compute as pc
 
     def part(t: pa.Table) -> pa.Table:

@@ -98,14 +98,10 @@ def _explode_outlinks(t: pa.Table, *, round_no: int) -> pa.Table:
         if ls:
             urls.extend(ls)
     norm, hosts, ok = normalize_many(urls)
-    # within-batch dedup (cheap; reduces seen-actor traffic)
-    seen_local: set = set()
-    for i in range(len(norm)):
-        if ok[i]:
-            if norm[i] in seen_local:
-                ok[i] = False
-            else:
-                seen_local.add(norm[i])
+    # within-batch dedup (cheap; reduces seen-actor traffic): first
+    # occurrence of each normalized string; invalid entries are "" with
+    # ok False, so they never shadow a valid URL
+    ok &= ~pd.Series(norm).duplicated().to_numpy()
     norm = norm[ok]
     h = hash_strings(norm)
     ts = _TS_BASE_US + (h % np.uint64(_TS_JITTER_US)).astype(np.int64)

@@ -1,27 +1,38 @@
 """Sketch / order-statistics operators for the 100-TB pipeline
 (SURVEY.md §2.6 extension; "novel sketch" slot of the operator brief).
 
-Three operators, each with a different exactness contract:
+Exact order statistics run on ONE engine, :func:`_order_stats`, a
+two-pass plan with no global sort:
 
-- ``exact_quantiles``: EXACT distributed order statistics without a
-  global sort — pass 1 builds a sparse fixed-point histogram (one small
-  groupby over ≤ n_hist distinct bucket ids), the driver locates the
-  target bucket per quantile from the tiny cumulative histogram, pass 2
-  re-reads ONLY the rows in the target buckets (predicate-pushdown
-  filter, ~n/n_hist rows) and picks the exact k-th element.  Shuffle
-  volume is O(n_hist), never O(n).
-- ``heavy_hitters``: top-k by frequency with a candidate pass (per-batch
-  top-m partial counts — the Misra-Gries/space-saving shape) and an
-  EXACT recount of the surviving candidates.  Exact whenever per-batch
-  distinct ≤ m (no truncation); on skewed data the truncated path keeps
-  every key with true count > Σᵢ errᵢ (tested on zipf input).
-- ``hll_distinct``: HyperLogLog distinct count — per-batch register
-  blobs, elementwise-max merged in a tree (never n rows to the driver),
-  ±1.04/√m relative error (property-tested against the exact count).
+1. a min/max pass fixes the fixed-point range (``scale`` = decimal
+   precision, 100 = cents) and records whether every value is such a
+   fixed-point number;
+2. a sparse histogram keyed by ``(group, bucket)`` — global is the
+   one-group case — over at most :data:`HIST_BUCKETS` buckets per
+   group, merged by :func:`_merge_counts`;
+3. the driver locates each requested rank's bucket from each group's
+   cumulative counts;
+4. one filtered scan fetches only the target buckets' rows (at most
+   :data:`MAX_FETCH_ROWS`, else a loud ``ValueError``) and picks the
+   exact element from each sorted bucket.  When every bucket holds one
+   fixed-point value and every value is one, the histogram is the
+   answer and step 4 is skipped.
 
-All three follow the combiner discipline: per-batch partials are tiny
-(≤ m rows / one blob), so the wide step ships kilobytes per block no
-matter how big the block is.
+Shuffle volume is O(histogram), never O(n).  NULL values are ignored;
+a NULL group key is a group (SQL GROUP BY), and a group or column with
+no non-NULL value yields NaN.  The public functions are rank rules on
+that engine: ``quantile_disc`` takes the 0-based rank max(0, ⌈q·n⌉−1)
+(:func:`exact_quantiles`, :func:`grouped_quantiles`); ``quantile_cont``
+takes ranks ⌊p⌋ and ⌈p⌉ of p = q·(n−1) and interpolates
+``lo + (hi − lo)·frac`` (:func:`exact_quantiles_cont`,
+:func:`grouped_quantiles_cont`); :func:`mad_exact` takes the two middle
+ranks, twice.
+
+The other operators are combiners with per-batch partials of at most
+a few thousand rows or one blob: ``heavy_hitters`` (top-k candidates,
+exact recount), ``hll_distinct`` (HyperLogLog, ±1.04/√m), t-digest
+quantiles, Count-Min, exact-integer moment statistics and the grouped
+aggregates below them.
 """
 
 from __future__ import annotations
@@ -37,73 +48,158 @@ from .joins import exchange
 
 
 # ==========================================================================
-# exact distributed quantiles (two-pass histogram refinement)
+# exact order statistics (two-pass histogram refinement)
 # ==========================================================================
+# pass-1 histogram resolution: fixed-point buckets spanning the value range
+HIST_BUCKETS = 1 << 16
+# rows pass 2 may pull to the driver before refinement fails loudly
+MAX_FETCH_ROWS = 50_000_000
+
+
 def _merge_counts(partials: rd.Dataset, keys: list[str]) -> pd.DataFrame:
-    """Sum the per-batch partial counts ``n`` by ``keys``, sorted by
-    ``keys``: on the driver up to :data:`~.joins.DRIVER_MERGE_ROWS`
-    partial rows (the sort exchange alone would cost more), through a
-    hash-bucketed :func:`~.joins.exchange` combine above it."""
+    """Sum the per-batch partial counts ``n`` by ``keys`` (a NULL key is
+    a group), sorted by ``keys``: on the driver up to
+    :data:`~.joins.DRIVER_MERGE_ROWS` partial rows (the sort exchange
+    alone would cost more), through a hash-bucketed
+    :func:`~.joins.exchange` combine above it."""
+
     if partials.count() > joins.DRIVER_MERGE_ROWS:
         partials = exchange(
             partials, keys,
-            lambda g: g.groupby(keys, sort=False)["n"].sum().reset_index(),
+            lambda t: t.group_by(keys).aggregate([("n", "sum")])
+            .select(keys + ["n_sum"]).rename_columns(keys + ["n"]),
+            batch_format="pyarrow",
         )
-    return partials.to_pandas().groupby(keys, sort=True)["n"].sum().reset_index()
+    return (partials.to_pandas().groupby(keys, sort=True, dropna=False)["n"]
+            .sum().reset_index())
 
 
-def _sparse_histogram(ds: rd.Dataset, col: str, scale: int, n_hist: int):
-    """Shared pass 1 of the exact-quantile family: fixed-point sparse
-    histogram of the NON-NULL values of ``ds[col]`` (SQL quantiles
-    ignore NULLs).  → (h: DataFrame(bucket, n) sorted, cum, n_rows,
-    lo_c, width); n_rows == 0 signals an empty/all-null column.
-    Partial histograms (≤ n_hist rows per batch) merge through
-    :func:`_merge_counts`."""
-    lohi = ds.map_batches(
-        lambda t: pa.table(
-            {
-                "lo": pa.array([pc.min(t[col]).as_py()], type=pa.float64()),
-                "hi": pa.array([pc.max(t[col]).as_py()], type=pa.float64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if not len(lohi) or lohi["lo"].isna().all():
-        return None, None, 0, 0, 1
-    lo_c = int(np.floor(lohi["lo"].min() * scale))
-    hi_c = int(np.ceil(lohi["hi"].max() * scale))
-    width = max(1, (hi_c - lo_c + n_hist) // n_hist)  # cents per bucket
+def _order_stats(ds: rd.Dataset, col: str, rank_fn, *,
+                 group: str | None = None, scale: int) -> list:
+    """The exact order statistics of ``ds[col]`` per ``group`` value
+    (the module docstring's plan).  → ``[(group key, n, {rank: value})]``
+    in group order (NULL last): ``n`` is the group's non-NULL count and
+    each requested 0-based rank of ``rank_fn(n)`` maps to its exact raw
+    value as a float.  A group with n = 0 gets ``{}`` and ``rank_fn`` is
+    not called; ``group=None`` returns exactly one ``(None, n, …)``."""
+    keys = ["bucket"] if group is None else ["g", "bucket"]
+
+    def lohi(t: pa.Table) -> pa.Table:
+        v = pc.cast(t[col], pa.float64())
+        fixed = pc.all(pc.equal(pc.divide(pc.round(pc.multiply(v, scale)),
+                                          scale), v)).as_py()
+        return pa.table({"lo": pa.array([pc.min(v).as_py()], pa.float64()),
+                         "hi": pa.array([pc.max(v).as_py()], pa.float64()),
+                         "fixed": [fixed is not False]})
+
+    r = ds.map_batches(lohi, batch_format="pyarrow").to_pandas()
+    if not len(r):  # no batch at all
+        return [] if group else [(None, 0, {})]
+    lo_c = int(np.floor(r["lo"].min() * scale)) if r["lo"].notna().any() else 0
+    hi_c = int(np.ceil(r["hi"].max() * scale)) if r["hi"].notna().any() else 0
+    # fixed-point units per bucket
+    width = max(1, (hi_c - lo_c + HIST_BUCKETS) // HIST_BUCKETS)
+
+    def keyed(t: pa.Table):
+        """→ (group column, bucket, value) of a batch; bucket −1 on NULL
+        values, which keeps an all-NULL group's key in the histogram."""
+        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
+        ok = ~np.isnan(v)
+        b = np.full(len(v), -1, dtype=np.int64)
+        b[ok] = (np.round(v[ok] * scale).astype(np.int64) - lo_c) // width
+        return (None if group is None else t[group]), b, v
 
     def hist(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        v = v[~np.isnan(v)]
-        cents = np.round(v * scale).astype(np.int64)
-        b = (cents - lo_c) // width
-        ids, counts = np.unique(b, return_counts=True)
-        return pa.table(
-            {"bucket": pa.array(ids), "n": pa.array(counts.astype(np.int64))}
-        )
+        g, b, _ = keyed(t)
+        kt = pa.table({"bucket": b} if g is None else {"g": g, "bucket": b})
+        counts = kt.group_by(keys).aggregate([([], "count_all")])
+        return counts.select(keys + ["count_all"]).rename_columns(keys + ["n"])
 
-    partials = ds.map_batches(hist, batch_format="pyarrow").materialize()
-    h = _merge_counts(partials, ["bucket"])
-    cum = h["n"].cumsum().to_numpy()
-    return h, cum, int(cum[-1]) if len(cum) else 0, lo_c, width
+    h = _merge_counts(ds.map_batches(hist, batch_format="pyarrow").materialize(),
+                      keys)
+    groups = [(None, h)] if group is None else h.groupby("g", sort=False,
+                                                         dropna=False)
+    plan, picks, n_picks = [], [], 0  # plan: (g, n, ranks, target, offset)
+    for g, hg in groups:
+        hg = hg[hg["bucket"] >= 0]
+        cum = hg["n"].cumsum().to_numpy()
+        n = int(cum[-1]) if len(cum) else 0
+        k = np.unique(np.asarray(rank_fn(n) if n else [], dtype=np.int64))
+        bi = np.searchsorted(cum, k + 1)
+        ub, inv = np.unique(bi, return_inverse=True)
+        plan.append((g, n, k, n_picks + inv, k - np.concatenate([[0], cum])[bi]))
+        picks.append(hg.index.to_numpy()[ub])
+        n_picks += len(ub)
+    targets = h.loc[np.concatenate(picks)].reset_index(drop=True)
+
+    if width == 1 and r["fixed"].all():
+        # every bucket is one fixed-point value, and so is every row:
+        # the histogram IS the answer, no second pass
+        at = lambda tix, off: (lo_c + targets["bucket"].to_numpy()[tix]) / scale
+    else:
+        fetch = int(targets["n"].sum())
+        if fetch > MAX_FETCH_ROWS:
+            raise ValueError(
+                f"order-statistic refinement would pull {fetch} rows to the "
+                "driver (heavily repeated values?); raise HIST_BUCKETS or scale"
+            )
+        tk = targets[keys].assign(t=np.arange(len(targets), dtype=np.int64))
+
+        def pick(t: pa.Table) -> pa.Table:
+            g, b, v = keyed(t)
+            df = pd.DataFrame({"bucket": b, "v": v})
+            if g is not None:
+                df.insert(0, "g", g.to_numpy(zero_copy_only=False))
+            df = df[b >= 0].merge(tk, on=keys)
+            return pa.table({"t": pa.array(df["t"].to_numpy(), pa.int64()),
+                             "v": pa.array(df["v"].to_numpy(), pa.float64())})
+
+        rows = ds.map_batches(pick, batch_format="pyarrow").to_pandas()
+        t_ix, v = rows["t"].to_numpy(), rows["v"].to_numpy()
+        order = np.lexsort((v, t_ix))
+        sv = v[order]
+        start = np.searchsorted(t_ix[order], np.arange(len(targets)))
+        at = lambda tix, off: sv[start[tix] + off]
+    return [(g, n, dict(zip(k.tolist(), at(tix, off).tolist())))
+            for g, n, k, tix, off in plan]
 
 
-def _fetch_buckets(ds: rd.Dataset, col: str, scale: int, lo_c: int,
-                   width: int, targets: np.ndarray) -> pd.DataFrame:
-    """Shared pass 2: one filtered scan fetching only the target
-    buckets' (non-null) raw values."""
+def _disc_rank(q: float, n: int) -> int:
+    """DuckDB's quantile_disc rank (verified empirically): the element
+    at 0-based index max(0, ceil(q·n) − 1)."""
+    return max(0, int(np.ceil(q * n)) - 1)
 
-    def in_buckets(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        v = v[~np.isnan(v)]
-        cents = np.round(v * scale).astype(np.int64)
-        b = (cents - lo_c) // width
-        m = np.isin(b, targets)
-        return pa.table({col: pa.array(v[m]), "bucket": pa.array(b[m])})
 
-    return ds.map_batches(in_buckets, batch_format="pyarrow").to_pandas()
+def _cont_ranks(q: float, n: int):
+    """quantile_cont's neighbor ranks of p = q·(n−1) and the fraction."""
+    p = q * (n - 1)
+    return int(np.floor(p)), int(np.ceil(p)), p - np.floor(p)
+
+
+def _cont_value(st: dict, q: float, n: int) -> float:
+    r_lo, r_hi, frac = _cont_ranks(q, n)
+    v_lo, v_hi = st[r_lo], st[r_hi]
+    return round(v_lo + (v_hi - v_lo) * frac, 6)
+
+
+# rank rules: (the ranks quantile q of n values reads, its value from them)
+_DISC = (lambda q, n: [_disc_rank(q, n)],
+         lambda st, q, n: round(st[_disc_rank(q, n)], 6))
+_CONT = (lambda q, n: _cont_ranks(q, n)[:2], _cont_value)
+
+
+def _quantiles(ds, col, qs, rule, *, scale, group=None) -> pd.DataFrame:
+    """One ``([group,] q, value)`` row per group and q under ``rule``."""
+    ranks, value = rule
+    stats = _order_stats(ds, col, lambda n: [r for q in qs for r in ranks(q, n)],
+                         group=group, scale=scale)
+    rows = [(g, q, value(st, q, n) if n else np.nan)
+            for g, n, st in stats for q in qs]
+    if group is None:
+        return pd.DataFrame([r[1:] for r in rows], columns=["q", "value"])
+    if not rows:
+        return pd.DataFrame({group: [], "q": [], "value": []})
+    return pd.DataFrame(rows, columns=[group, "q", "value"])
 
 
 def exact_quantiles(
@@ -112,56 +208,17 @@ def exact_quantiles(
     qs: list[float],
     *,
     scale: int = 100,
-    n_hist: int = 1 << 16,
-    max_fetch: int = 50_000_000,
 ) -> pd.DataFrame:
     """Exact ``quantile_disc`` values of ``ds[col]`` for each q in
     ``qs`` (the element at 0-based index max(0, ceil(q·n)−1) of the
-    sorted column — DuckDB's quantile_disc definition).
+    sorted column — DuckDB's quantile_disc definition); NaN on an
+    empty/all-NULL column.
 
     ``scale`` fixes the decimal precision (100 = cents); values are
     histogrammed in fixed-point so bucket membership is exact.  Two
-    linear passes, no global sort: the only wide op is a groupby over at
-    most ``n_hist`` distinct bucket ids.
+    linear passes, no global sort (:func:`_order_stats`).
     """
-    h, cum, n, lo_c, width = _sparse_histogram(ds, col, scale, n_hist)
-    if n == 0:
-        return pd.DataFrame({"q": list(qs), "value": np.nan})
-    buckets = h["bucket"].to_numpy()
-
-    # locate each quantile's target bucket from the tiny cumulative hist
-    wants = []  # (q, k, target_bucket, rows_before_bucket)
-    for q in qs:
-        # DuckDB quantile_disc rank rule (verified empirically):
-        # the element at 0-based index max(0, ceil(q·n) − 1)
-        k = max(0, int(np.ceil(q * n)) - 1)
-        bi = int(np.searchsorted(cum, k + 1))
-        wants.append((q, k, int(buckets[bi]), int(cum[bi - 1]) if bi > 0 else 0))
-
-    if width == 1:
-        # every bucket is one exact fixed-point value — the histogram IS
-        # the answer; no second pass (also covers the degenerate
-        # all-rows-one-value case without a driver pull)
-        return pd.DataFrame(
-            [(q, round((lo_c + b) / scale, 6)) for q, _k, b, _ in wants],
-            columns=["q", "value"],
-        )
-
-    targets = np.array(sorted({w[2] for w in wants}), dtype=np.int64)
-    fetch = int(h.set_index("bucket")["n"].loc[targets].sum())
-    if fetch > max_fetch:
-        raise ValueError(
-            f"quantile refinement would pull {fetch} rows to the driver "
-            "(heavily repeated values?); raise n_hist or scale"
-        )
-
-    # pass 2: ONE filtered scan fetching only the target buckets' rows
-    rows = _fetch_buckets(ds, col, scale, lo_c, width, targets)
-    out = []
-    for q, k, target, before in wants:
-        vals = np.sort(rows.loc[rows["bucket"] == target, col].to_numpy())
-        out.append((q, round(float(vals[k - before]), 6)))
-    return pd.DataFrame(out, columns=["q", "value"])
+    return _quantiles(ds, col, qs, _DISC, scale=scale)
 
 
 def exact_quantiles_cont(
@@ -170,15 +227,12 @@ def exact_quantiles_cont(
     qs: list[float],
     *,
     scale: int = 100,
-    n_hist: int = 1 << 16,
-    max_fetch: int = 50_000_000,
 ) -> pd.DataFrame:
     """Exact CONTINUOUS (interpolated) quantiles — the quantile_cont
     rule: position p = q·(n−1); interpolate lower + (upper − lower)·
     (p − ⌊p⌋) between the order statistics at ranks ⌊p⌋ and ⌈p⌉.
-    Shares :func:`_sparse_histogram` / :func:`_fetch_buckets` with
-    :func:`exact_quantiles` (shuffle O(n_hist), never O(n)); NULLs are
-    ignored (SQL semantics) and an empty/all-null column returns NaN.
+    NULLs are ignored (SQL semantics) and an empty/all-null column
+    returns NaN.
 
     NOTE on oracle parity: DuckDB's quantile_cont KERNEL interpolates
     with a different expression (1-ulp divergence in ~a quarter of
@@ -187,48 +241,8 @@ def exact_quantiles_cont(
     instead of calling quantile_cont; identical double ops in the same
     order are bit-equal, and ROUND(…, 6) is applied to bit-equal
     inputs on both sides."""
-    h, cum, n, lo_c, width = _sparse_histogram(ds, col, scale, n_hist)
-    if n == 0:
-        return pd.DataFrame({"q": list(qs), "value": np.nan})
-    buckets = h["bucket"].to_numpy()
+    return _quantiles(ds, col, qs, _CONT, scale=scale)
 
-    # each q needs ranks floor(p) and ceil(p); locate their buckets
-    need: dict[int, tuple[int, int]] = {}  # rank → (bucket, rows before)
-    plan = []  # (q, rank_lo, rank_hi, frac)
-    for q in qs:
-        p = q * (n - 1)
-        r_lo, r_hi = int(np.floor(p)), int(np.ceil(p))
-        plan.append((q, r_lo, r_hi, p - np.floor(p)))
-        for k in (r_lo, r_hi):
-            if k not in need:
-                bi = int(np.searchsorted(cum, k + 1))
-                need[k] = (int(buckets[bi]),
-                           int(cum[bi - 1]) if bi > 0 else 0)
-
-    targets = np.array(sorted({b for b, _ in need.values()}), dtype=np.int64)
-    fetch = int(h.set_index("bucket")["n"].loc[targets].sum())
-    if fetch > max_fetch:
-        raise ValueError(
-            f"quantile refinement would pull {fetch} rows to the driver; "
-            "raise n_hist or scale"
-        )
-
-    rows = _fetch_buckets(ds, col, scale, lo_c, width, targets)
-    by_bucket = {
-        int(b): np.sort(g[col].to_numpy())
-        for b, g in rows.groupby("bucket")
-    }
-
-    def value_at(rank: int) -> float:
-        b, before = need[rank]
-        return float(by_bucket[b][rank - before])
-
-    out = []
-    for q, r_lo, r_hi, frac in plan:
-        v_lo = value_at(r_lo)
-        v_hi = value_at(r_hi) if r_hi != r_lo else v_lo
-        out.append((q, round(v_lo + (v_hi - v_lo) * frac, 6)))
-    return pd.DataFrame(out, columns=["q", "value"])
 
 def grouped_quantiles(
     ds: rd.Dataset,
@@ -237,96 +251,16 @@ def grouped_quantiles(
     qs: list[float],
     *,
     scale: int = 100,
-    n_hist: int = 1 << 16,
 ) -> pd.DataFrame:
-    """Per-group exact ``quantile_disc``: the same two-pass histogram
-    refinement as :func:`exact_quantiles`, with (group, bucket) keys.
+    """Per-group exact ``quantile_disc`` (the :func:`exact_quantiles`
+    rule per group), group-sorted with a NULL group last and NaN for a
+    group with no non-NULL value.
 
     The driver holds one sparse histogram row per (group, touched
     bucket) — designed for group cardinalities up to ~10^5 (languages,
     sources, shards), not per-user groups; pass 2 fetches only the rows
     of each group's target buckets."""
-    lohi = ds.map_batches(
-        lambda t: pa.table(
-            {
-                "lo": pa.array([pc.min(t[col]).as_py()], type=pa.float64()),
-                "hi": pa.array([pc.max(t[col]).as_py()], type=pa.float64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if not len(lohi) or lohi["lo"].isna().all():
-        # empty / all-null column: no groups have any quantile rows
-        return pd.DataFrame({group_col: [], "q": [], "value": []})
-    lo_c = int(np.floor(lohi["lo"].min() * scale))
-    hi_c = int(np.ceil(lohi["hi"].max() * scale))
-    width = max(1, (hi_c - lo_c + n_hist) // n_hist)
-
-    def hist(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        m = ~np.isnan(v)  # SQL quantiles ignore NULL values
-        df = pd.DataFrame(
-            {
-                "g": g[m],
-                "bucket": (np.round(v[m] * scale).astype(np.int64) - lo_c)
-                // width,
-            }
-        )
-        out = df.groupby(["g", "bucket"], sort=False).size().reset_index(name="n")
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    # the (g, bucket) key space is singleton-dominated, where Ray's
-    # sort aggregate pays per-KEY overhead: merge like exact_quantiles
-    partials = ds.map_batches(hist, batch_format="pyarrow").materialize()
-    h = _merge_counts(partials, ["g", "bucket"])
-
-    # per group: locate each quantile's target bucket
-    wants: list[tuple[object, float, int, int, int]] = []  # (g, q, k, bucket, before)
-    for g, hg in h.groupby("g", sort=False):
-        cum = hg["n"].cumsum().to_numpy()
-        n = int(cum[-1])
-        buckets = hg["bucket"].to_numpy()
-        for q in qs:
-            k = max(0, int(np.ceil(q * n)) - 1)
-            bi = int(np.searchsorted(cum, k + 1))
-            wants.append((g, q, k, int(buckets[bi]), int(cum[bi - 1]) if bi > 0 else 0))
-
-    if width == 1:
-        # single-cent buckets: the histogram is exact (see exact_quantiles)
-        return pd.DataFrame(
-            [(g, q, round((lo_c + b) / scale, 6)) for g, q, _k, b, _ in wants],
-            columns=[group_col, "q", "value"],
-        )
-
-    targets = pd.DataFrame(
-        sorted({(w[0], w[3]) for w in wants}), columns=["g", "bucket"]
-    )
-
-    def in_buckets(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        m = ~np.isnan(v)
-        v = v[m]
-        df = pd.DataFrame(
-            {
-                "g": g[m],
-                "bucket": (np.round(v * scale).astype(np.int64) - lo_c) // width,
-                col: v,
-            }
-        )
-        return pa.Table.from_pandas(
-            df.merge(targets, on=["g", "bucket"]), preserve_index=False
-        )
-
-    rows = ds.map_batches(in_buckets, batch_format="pyarrow").to_pandas()
-    out = []
-    for g, q, k, target, before in wants:
-        vals = np.sort(
-            rows.loc[(rows["g"] == g) & (rows["bucket"] == target), col].to_numpy()
-        )
-        out.append((g, q, round(float(vals[k - before]), 6)))
-    return pd.DataFrame(out, columns=[group_col, "q", "value"])
+    return _quantiles(ds, col, qs, _DISC, scale=scale, group=group_col)
 
 
 def grouped_quantiles_cont(
@@ -336,103 +270,15 @@ def grouped_quantiles_cont(
     qs: list[float],
     *,
     scale: int = 100,
-    n_hist: int = 1 << 16,
 ) -> pd.DataFrame:
     """Per-group CONTINUOUS (interpolated) quantiles — quantile_cont's
-    p = q·(n_g−1) rule per group, interpolating lower + (upper −
-    lower)·frac between each group's two neighbor order statistics.
-    Completes the quantile matrix (disc/cont × global/grouped × exact/
-    sketch).  Same (group, bucket) sparse-histogram shape as
-    :func:`grouped_quantiles`; NULL values are ignored; the oracle
-    interpolates explicitly from per-partition ROW_NUMBER order stats
-    (never the quantile_cont kernel — see exact_quantiles_cont's
-    1-ulp parity note)."""
-    lohi = ds.map_batches(
-        lambda t: pa.table(
-            {
-                "lo": pa.array([pc.min(t[col]).as_py()], type=pa.float64()),
-                "hi": pa.array([pc.max(t[col]).as_py()], type=pa.float64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if not len(lohi) or lohi["lo"].isna().all():
-        return pd.DataFrame({group_col: [], "q": [], "value": []})
-    lo_c = int(np.floor(lohi["lo"].min() * scale))
-    hi_c = int(np.ceil(lohi["hi"].max() * scale))
-    width = max(1, (hi_c - lo_c + n_hist) // n_hist)
-
-    def hist(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        m = ~np.isnan(v)
-        df = pd.DataFrame(
-            {
-                "g": g[m],
-                "bucket": (np.round(v[m] * scale).astype(np.int64) - lo_c)
-                // width,
-            }
-        )
-        out = df.groupby(["g", "bucket"], sort=False).size().reset_index(name="n")
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    partials = ds.map_batches(hist, batch_format="pyarrow").materialize()
-    h = _merge_counts(partials, ["g", "bucket"])
-
-    # per group: the two neighbor ranks of each quantile + their buckets
-    plan = []  # (g, q, r_lo, r_hi, frac)
-    need: dict[tuple[object, int], tuple[int, int]] = {}
-    for g, hg in h.groupby("g", sort=False):
-        cum = hg["n"].cumsum().to_numpy()
-        n = int(cum[-1])
-        buckets = hg["bucket"].to_numpy()
-        for q in qs:
-            p = q * (n - 1)
-            r_lo, r_hi = int(np.floor(p)), int(np.ceil(p))
-            plan.append((g, q, r_lo, r_hi, p - np.floor(p)))
-            for k in (r_lo, r_hi):
-                if (g, k) not in need:
-                    bi = int(np.searchsorted(cum, k + 1))
-                    need[(g, k)] = (int(buckets[bi]),
-                                    int(cum[bi - 1]) if bi > 0 else 0)
-
-    targets = pd.DataFrame(
-        sorted({(g, b) for (g, _k), (b, _) in need.items()}),
-        columns=["g", "bucket"],
-    )
-
-    def in_buckets(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        m = ~np.isnan(v)
-        v = v[m]
-        df = pd.DataFrame(
-            {
-                "g": g[m],
-                "bucket": (np.round(v * scale).astype(np.int64) - lo_c) // width,
-                col: v,
-            }
-        )
-        return pa.Table.from_pandas(
-            df.merge(targets, on=["g", "bucket"]), preserve_index=False
-        )
-
-    rows = ds.map_batches(in_buckets, batch_format="pyarrow").to_pandas()
-    by_gb = {
-        (g, int(b)): np.sort(sub[col].to_numpy())
-        for (g, b), sub in rows.groupby(["g", "bucket"])
-    }
-
-    def value_at(g, rank: int) -> float:
-        b, before = need[(g, rank)]
-        return float(by_gb[(g, b)][rank - before])
-
-    out = []
-    for g, q, r_lo, r_hi, frac in plan:
-        v_lo = value_at(g, r_lo)
-        v_hi = value_at(g, r_hi) if r_hi != r_lo else v_lo
-        out.append((g, q, round(v_lo + (v_hi - v_lo) * frac, 6)))
-    return pd.DataFrame(out, columns=[group_col, "q", "value"])
+    p = q·(n_g−1) rule per group (see :func:`grouped_quantiles` for
+    NULL groups and values).  Completes the quantile matrix (disc/cont
+    × global/grouped × exact/sketch).  The oracle interpolates
+    explicitly from per-partition ROW_NUMBER order stats (never the
+    quantile_cont kernel — see exact_quantiles_cont's 1-ulp parity
+    note)."""
+    return _quantiles(ds, col, qs, _CONT, scale=scale, group=group_col)
 
 
 def topk_per_group(
@@ -1442,48 +1288,7 @@ def grouped_weighted_stats(ds: rd.Dataset, group: str, val: str,
     return out.sort_values(group).reset_index(drop=True)
 
 
-def _order_stats_cents(ds: rd.Dataset, col: str, scale: int,
-                       rank_fn, n_hist: int = 1 << 16,
-                       max_fetch: int = 50_000_000):
-    """Exact fixed-point order statistics: run the two-pass sparse-
-    histogram plan and return ({0-based rank: exact scaled int}, n)
-    for the ranks ``rank_fn(n)`` requests.  Shared by the MAD composite
-    (which needs order stats of a DERIVED column, where the float
-    descaling of exact_quantiles_cont would lose the exact-int
-    contract).  NOTE: the shared histogram rounds with np.round
-    (half-to-even); for DuckDB ROUND parity feed pre-rounded INTEGRAL
-    floats at scale=1 (np.round is exact on integers) — mad_exact
-    does."""
-    h, cum, n, lo_c, width = _sparse_histogram(ds, col, scale, n_hist)
-    if n == 0:
-        return {}, 0
-    ranks = sorted(set(rank_fn(n)))
-    buckets = h["bucket"].to_numpy()
-    need = {}
-    for k in ranks:
-        bi = int(np.searchsorted(cum, k + 1))
-        need[k] = (int(buckets[bi]), int(cum[bi - 1]) if bi > 0 else 0)
-    if width == 1:
-        return {k: lo_c + b for k, (b, _) in need.items()}, n
-    targets = np.array(sorted({b for b, _ in need.values()}),
-                       dtype=np.int64)
-    fetch = int(h.set_index("bucket")["n"].loc[targets].sum())
-    if fetch > max_fetch:
-        raise ValueError(
-            f"order-stat refinement would pull {fetch} rows; raise "
-            "n_hist or scale")
-    rows = _fetch_buckets(ds, col, scale, lo_c, width, targets)
-    by_bucket = {
-        int(b): np.sort(np.round(g[col].to_numpy(np.float64) * scale
-                                 ).astype(np.int64))
-        for b, g in rows.groupby("bucket")
-    }
-    return {k: int(by_bucket[b][k - before])
-            for k, (b, before) in need.items()}, n
-
-
-def mad_exact(ds: rd.Dataset, col: str, *, scale: int = 100,
-              n_hist: int = 1 << 16) -> pd.DataFrame:
+def mad_exact(ds: rd.Dataset, col: str, *, scale: int = 100) -> pd.DataFrame:
     """Median absolute deviation — ``median(|x − median(x)|)`` with
     CONTINUOUS (interpolated) medians — as a composition of two exact
     order-statistic passes, all integer until the final mirrored
@@ -1499,25 +1304,28 @@ def mad_exact(ds: rd.Dataset, col: str, *, scale: int = 100,
     ``med_sc2 = 2·scale·median`` and ``mad_sc4 = 4·scale·mad``; an
     empty/all-null column mirrors the oracle's scalar-subquery NULLs
     (n=0, every other column NaN)."""
-    med_ranks = lambda n: [(n - 1) // 2, n // 2]
+    def median2(d: rd.Dataset, c: str) -> tuple[int, int]:
+        """→ (n, lo + hi) of the two middle order stats of integral d[c]."""
+        [(_, n, st)] = _order_stats(d, c, lambda n: [(n - 1) // 2, n // 2],
+                                    scale=1)
+        return n, (int(st[(n - 1) // 2]) + int(st[n // 2]) if n else 0)
 
     def to_cents(t: pa.Table) -> pa.Table:
         # half-AWAY-from-zero (DuckDB ROUND parity; np.round's half-to-
         # even would diverge on exact .5 cases), then integral floats —
-        # the shared histogram's np.round is exact on integers
+        # the engine's np.round is exact on integers
         v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
         v = v[~np.isnan(v)]
         c = np.sign(v) * np.floor(np.abs(v) * scale + 0.5)
         return pa.table({"c": pa.array(c)})
 
     cds = ds.map_batches(to_cents, batch_format="pyarrow")
-    st, n = _order_stats_cents(cds, "c", 1, med_ranks, n_hist=n_hist)
+    n, med2 = median2(cds, "c")
     cols = ["n", "med_sc2", "mad_sc4", "median", "mad"]
     if n == 0:
         return pd.DataFrame(
             [[0, np.nan, np.nan, np.nan, np.nan]], columns=cols
         ).astype({"n": np.int64})
-    med2 = st[(n - 1) // 2] + st[n // 2]
 
     def deviations(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1528,8 +1336,7 @@ def mad_exact(ds: rd.Dataset, col: str, *, scale: int = 100,
                                         .astype(np.float64))})
 
     dds = ds.map_batches(deviations, batch_format="pyarrow")
-    st2, n2 = _order_stats_cents(dds, "d2", 1, med_ranks, n_hist=n_hist)
-    mad4 = st2[(n2 - 1) // 2] + st2[n2 // 2]
+    _, mad4 = median2(dds, "d2")
     return pd.DataFrame(
         [[n, med2, mad4,
           float(med2) / (2.0 * scale), float(mad4) / (4.0 * scale)]],

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from ethereum_raw_data_crawler_ray.stages import joins, sketches
 from ethereum_raw_data_crawler_ray.stages.sketches import (
     exact_quantiles,
     heavy_hitters,
@@ -21,11 +22,12 @@ def _duck_rank(q: float, n: int) -> int:
 
 
 class TestExactQuantiles:
-    def test_matches_sorted_reference(self):
+    def test_matches_sorted_reference(self, monkeypatch):
         vals = np.round(RNG.lognormal(4.0, 1.0, size=20_000), 2)
         ds = rd.from_pandas(pd.DataFrame({"x": vals})).repartition(8)
         qs = [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0]
-        out = exact_quantiles(ds, "x", qs, n_hist=1 << 12)
+        monkeypatch.setattr(sketches, "HIST_BUCKETS", 1 << 12)
+        out = exact_quantiles(ds, "x", qs)
         sv = np.sort(vals)
         for q, got in zip(out["q"], out["value"]):
             assert got == round(float(sv[_duck_rank(q, len(sv))]), 6), q
@@ -35,42 +37,61 @@ class TestExactQuantiles:
         out = exact_quantiles(ds, "x", [0.5])
         assert out["value"].iloc[0] == 7.77
 
-    def test_coarse_histogram_still_exact(self):
+    def test_coarse_histogram_still_exact(self, monkeypatch):
         """Exactness must not depend on histogram resolution — a tiny
-        n_hist only grows the pass-2 fetch, never changes the answer."""
+        HIST_BUCKETS only grows the pass-2 fetch, never changes the
+        answer."""
         vals = np.round(RNG.uniform(0, 1000, size=5_000), 2)
         ds = rd.from_pandas(pd.DataFrame({"x": vals})).repartition(4)
-        a = exact_quantiles(ds, "x", [0.5, 0.9], n_hist=16)
-        b = exact_quantiles(ds, "x", [0.5, 0.9], n_hist=1 << 16)
+        b = exact_quantiles(ds, "x", [0.5, 0.9])
+        monkeypatch.setattr(sketches, "HIST_BUCKETS", 16)
+        a = exact_quantiles(ds, "x", [0.5, 0.9])
         pd.testing.assert_frame_equal(a, b)
 
 
 class TestQuantileGuard:
-    def test_oversized_refinement_raises(self):
-        """A hot bucket beyond max_fetch must fail loudly with advice,
-        not silently pull the rows to the driver."""
+    def _hot(self):
         vals = np.round(np.full(4_000, 3.33) + RNG.uniform(0, 0.001, 4_000), 2)
-        ds = rd.from_pandas(pd.DataFrame({"x": vals + RNG.integers(0, 2, 4_000) * 500}))
-        with pytest.raises(ValueError, match="raise n_hist"):
-            exact_quantiles(ds, "x", [0.25], n_hist=4, max_fetch=10)
+        return pd.DataFrame({"g": RNG.choice(["a", "b"], 4_000),
+                             "x": vals + RNG.integers(0, 2, 4_000) * 500})
+
+    def test_oversized_refinement_raises(self, monkeypatch):
+        """A hot bucket beyond MAX_FETCH_ROWS must fail loudly with
+        advice, not silently pull the rows to the driver."""
+        ds = rd.from_pandas(self._hot())
+        monkeypatch.setattr(sketches, "HIST_BUCKETS", 4)
+        monkeypatch.setattr(sketches, "MAX_FETCH_ROWS", 10)
+        with pytest.raises(ValueError, match="would pull .* raise HIST_BUCKETS"):
+            exact_quantiles(ds, "x", [0.25])
+
+    def test_oversized_grouped_refinement_raises(self, monkeypatch):
+        """The fetch bound guards the grouped functions too."""
+        ds = rd.from_pandas(self._hot())
+        monkeypatch.setattr(sketches, "HIST_BUCKETS", 4)
+        monkeypatch.setattr(sketches, "MAX_FETCH_ROWS", 10)
+        for fn in (sketches.grouped_quantiles, sketches.grouped_quantiles_cont):
+            with pytest.raises(ValueError, match="would pull"):
+                fn(ds, "g", "x", [0.25])
 
 
 class TestQuantileShortcut:
-    def test_width1_shortcut_equals_refinement(self):
+    def test_width1_shortcut_equals_refinement(self, monkeypatch):
         """When buckets resolve to single fixed-point values the
         histogram-only path must equal the two-pass refinement."""
         vals = np.round(RNG.uniform(0, 100, size=6_000), 2)
         ds = rd.from_pandas(pd.DataFrame({"x": vals})).repartition(5)
         qs = [0.1, 0.5, 0.99]
-        a = exact_quantiles(ds, "x", qs, n_hist=1 << 16)  # width == 1
-        b = exact_quantiles(ds, "x", qs, n_hist=1 << 10)  # refinement
+        a = exact_quantiles(ds, "x", qs)  # width == 1
+        monkeypatch.setattr(sketches, "HIST_BUCKETS", 1 << 10)
+        b = exact_quantiles(ds, "x", qs)  # refinement
         pd.testing.assert_frame_equal(a, b)
 
 
 class TestGroupedQuantiles:
-    def test_matches_per_group_reference(self):
+    def test_matches_per_group_reference(self, monkeypatch):
         from ethereum_raw_data_crawler_ray.stages.sketches import grouped_quantiles
 
+        monkeypatch.setattr(sketches, "HIST_BUCKETS", 1 << 10)
         df = pd.DataFrame(
             {
                 "g": RNG.choice(["a", "b", "c"], size=9_000, p=[0.6, 0.3, 0.1]),
@@ -78,7 +99,7 @@ class TestGroupedQuantiles:
             }
         )
         out = grouped_quantiles(
-            rd.from_pandas(df).repartition(6), "g", "x", [0.1, 0.5, 0.95], n_hist=1 << 10
+            rd.from_pandas(df).repartition(6), "g", "x", [0.1, 0.5, 0.95]
         )
         for g, sub in df.groupby("g"):
             sv = np.sort(sub["x"].to_numpy())
@@ -86,6 +107,77 @@ class TestGroupedQuantiles:
                 want = round(float(sv[_duck_rank(q, len(sv))]), 6)
                 got = out[(out["g"] == g) & (out["q"] == q)]["value"].iloc[0]
                 assert got == want, (g, q)
+
+
+def _by_key(df: pd.DataFrame, key: str) -> dict:
+    """{group (None for NULL): value (None for NULL)} of a result frame."""
+    na = lambda x: None if pd.isna(x) else x
+    return {na(k): na(v) for k, v in zip(df[key], df["value"])}
+
+
+# quantile_cont as explicit order statistics (the q93 oracle shape), with
+# NULL-safe joins so a NULL group and an all-NULL-valued group survive
+_CONT_SQL = """
+    WITH counts AS (SELECT g, COUNT(v) AS c FROM df GROUP BY g),
+    pos AS (
+        SELECT g, 0.5 * (c - 1) AS p,
+               CAST(FLOOR(0.5 * (c - 1)) AS BIGINT) AS klo,
+               CAST(CEIL(0.5 * (c - 1)) AS BIGINT) AS khi
+        FROM counts
+    ),
+    ranked AS (
+        SELECT g, v, ROW_NUMBER() OVER (PARTITION BY g ORDER BY v) - 1 AS r
+        FROM df WHERE v IS NOT NULL
+    )
+    SELECT pos.g, ROUND(lo.v + (hi.v - lo.v) * (pos.p - FLOOR(pos.p)), 6)
+           AS value
+    FROM pos
+    LEFT JOIN ranked lo ON lo.g IS NOT DISTINCT FROM pos.g AND lo.r = pos.klo
+    LEFT JOIN ranked hi ON hi.g IS NOT DISTINCT FROM pos.g AND hi.r = pos.khi
+"""
+_DISC_SQL = "SELECT g, quantile_disc(v, 0.5) AS value FROM df GROUP BY g"
+
+
+class TestOrderStatsSqlParity:
+    """The order-statistics engine against DuckDB on the cases SQL
+    defines and a histogram plan can get wrong."""
+
+    @staticmethod
+    def _check(df: pd.DataFrame):
+        import duckdb
+
+        for fn, sql in ((sketches.grouped_quantiles, _DISC_SQL),
+                        (sketches.grouped_quantiles_cont, _CONT_SQL)):
+            got = fn(rd.from_pandas(df).repartition(2), "g", "v", [0.5])
+            assert _by_key(got, "g") == _by_key(duckdb.sql(sql).df(), "g"), fn
+
+    @pytest.mark.parametrize("merge_rows", [None, 0])
+    def test_null_group_key_is_a_group(self, monkeypatch, merge_rows):
+        """GROUP BY keeps NULL as a group: the histogram, the driver
+        merge and the exchange merge (DRIVER_MERGE_ROWS = 0) alike."""
+        if merge_rows is not None:
+            monkeypatch.setattr(joins, "DRIVER_MERGE_ROWS", merge_rows)
+        df = pd.DataFrame({"g": ["a", "a", None, None, "b"],
+                           "v": [1.0, 2.0, 3.0, 3.0, 9.0]})
+        self._check(df)
+
+    def test_all_null_group_is_null(self):
+        """A group whose values are all NULL keeps its row, valued NaN."""
+        df = pd.DataFrame({"g": ["a", "a", "c", "c", "b"],
+                           "v": [1.5, 2.25, None, None, 9.0]})
+        self._check(df)
+
+    def test_over_precise_values_refined(self):
+        """Values finer than ``scale`` in one fixed-point bucket are
+        refined, not answered from the bucket's fixed-point value."""
+        import duckdb
+
+        df = pd.DataFrame({"x": [1.001, 1.004, 1.002]})
+        qs = [0.0, 0.5, 1.0]
+        got = exact_quantiles(rd.from_pandas(df), "x", qs)["value"].tolist()
+        want = [duckdb.sql(f"SELECT quantile_disc(x, {q}) FROM df").fetchone()[0]
+                for q in qs]
+        assert got == want == [1.001, 1.002, 1.004]
 
 
 class TestHeavyHitters:
